@@ -71,6 +71,16 @@ void apply_quantization_levels(DseOptions& options,
   }
 }
 
+void keep_at_least(ParetoSet& pareto,
+                   const std::optional<Rational>& min_throughput) {
+  if (!min_throughput.has_value()) return;
+  ParetoSet filtered;
+  for (const ParetoPoint& p : pareto.points()) {
+    if (p.throughput >= *min_throughput) filtered.add(p);
+  }
+  pareto = std::move(filtered);
+}
+
 DseResult explore(const sdf::Graph& graph, const DseOptions& options) {
   BUFFY_REQUIRE(options.target.valid() &&
                     options.target.index() < graph.num_actors(),
@@ -179,13 +189,7 @@ DseResult explore(const sdf::Graph& graph, const DseOptions& options) {
     default:
       throw InternalError("unknown DSE engine");
   }
-  if (options.min_throughput.has_value()) {
-    ParetoSet filtered;
-    for (const ParetoPoint& p : result.pareto.points()) {
-      if (p.throughput >= *options.min_throughput) filtered.add(p);
-    }
-    result.pareto = std::move(filtered);
-  }
+  keep_at_least(result.pareto, options.min_throughput);
   if (options.progress != nullptr) {
     options.progress->add_pareto_points(result.pareto.size());
     if (result.cancelled) options.progress->mark_cancelled();

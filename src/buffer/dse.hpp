@@ -250,12 +250,17 @@ struct DseResult {
 /// Resolves `quantization_levels` into a concrete quantisation step and
 /// tightens the throughput goal to the near-max grid level (Sec. 11) —
 /// exactly the preprocessing explore() applies before dispatching to an
-/// engine. Exposed so out-of-process drivers (the fleet router and its
+/// engine. Exposed so out-of-process explorations (explore_scattered and the
 /// explore_slice workers) reproduce the engine-effective options
 /// bit-for-bit; no-op when `quantization` is already set or no level count
 /// was requested.
 void apply_quantization_levels(DseOptions& options,
                                const DesignSpaceBounds& bounds);
+
+/// Drops the points below `min_throughput` (no-op when unset) — the
+/// post-filter every exploration applies to its front.
+void keep_at_least(ParetoSet& pareto,
+                   const std::optional<Rational>& min_throughput);
 
 /// Per-channel exploration floor: the analytic lower bound raised to any
 /// user minimum. Used by both engines.

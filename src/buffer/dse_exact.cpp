@@ -1152,6 +1152,86 @@ SliceOutcome explore_size_slice(const sdf::Graph& graph,
   return out;
 }
 
+ScatteredResult explore_scattered(const sdf::Graph& graph,
+                                  const DseOptions& options,
+                                  const WaveEvaluator& evaluate) {
+  const auto t0 = std::chrono::steady_clock::now();
+  DseOptions opts = options;
+  opts.engine = DseEngine::Exhaustive;
+  ScatteredResult out;
+  DseResult& result = out.result;
+  result.bounds =
+      design_space_bounds(graph, opts.target, opts.max_steps_per_run);
+  const DesignSpaceBounds& bounds = result.bounds;
+  std::map<i64, SliceOutcome> evaluated;
+  const auto run_wave = [&](std::vector<SliceRequest> slices) {
+    opts.cancel.checkpoint();
+    const SliceWave wave{out.waves++, opts, bounds, std::move(slices)};
+    std::vector<SliceOutcome> outcomes = evaluate(wave);
+    BUFFY_REQUIRE(outcomes.size() == wave.slices.size(),
+                  "a wave evaluator must return one outcome per slice");
+    out.slices += wave.slices.size();
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      evaluated.emplace(wave.slices[i].size, std::move(outcomes[i]));
+    }
+  };
+  if (!bounds.deadlock) {
+    apply_quantization_levels(opts, bounds);
+    const SlicePlan plan = exhaustive_slice_plan(graph, opts, bounds);
+    if (plan.hi_size >= plan.lo_size) {
+      // Wave 0: the interval endpoints (one slice when degenerate).
+      std::vector<SliceRequest> endpoints{
+          {plan.lo_size, std::nullopt, plan.goal}};
+      if (plan.hi_size != plan.lo_size) {
+        endpoints.push_back({plan.hi_size, plan.top_seed, plan.goal});
+      }
+      run_wave(std::move(endpoints));
+      // Breadth-first over the interval tree: all of one depth's mids form
+      // one wave, seeded and capped exactly as explore_exhaustive does.
+      std::vector<std::pair<i64, i64>> intervals{{plan.lo_size, plan.hi_size}};
+      while (!intervals.empty()) {
+        std::vector<SliceRequest> mids;
+        std::vector<std::pair<i64, i64>> next;
+        for (const auto& [lo, hi] : intervals) {
+          if (hi - lo <= 1) continue;
+          const SliceOutcome& at_lo = evaluated.at(lo);
+          const SliceOutcome& at_hi = evaluated.at(hi);
+          if (at_lo.throughput == at_hi.throughput ||
+              at_lo.throughput >= plan.goal) {
+            continue;  // no further Pareto point inside (monotonicity)
+          }
+          const i64 mid = lo + (hi - lo) / 2;
+          mids.push_back(
+              {mid, pad_to_size(plan, at_lo.witness.capacities(), mid),
+               std::min(plan.goal, at_hi.throughput)});
+          next.emplace_back(lo, mid);
+          next.emplace_back(mid, hi);
+        }
+        if (!mids.empty()) run_wave(std::move(mids));
+        intervals = std::move(next);
+      }
+    }
+  }
+  result.static_narrow = !evaluated.empty();
+  for (const auto& [size, outcome] : evaluated) {
+    result.pareto.add(ParetoPoint{outcome.witness, outcome.throughput});
+    result.distributions_explored += outcome.distributions_explored;
+    result.simulations_run += outcome.simulations_run;
+    result.cache_hits += outcome.cache_hits;
+    result.dominance_skips += outcome.dominance_skips;
+    result.lp_prunes += outcome.lp_prunes;
+    result.max_states_stored =
+        std::max(result.max_states_stored, outcome.max_states_stored);
+    result.lp_cuts = std::max(result.lp_cuts, outcome.lp_cuts);
+    result.static_narrow = result.static_narrow && outcome.static_narrow;
+  }
+  keep_at_least(result.pareto, options.min_throughput);
+  result.seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  return out;
+}
+
 std::vector<StorageDistribution> equivalent_minimal_distributions(
     const sdf::Graph& graph, const DseOptions& options, i64 size,
     const Rational& min_throughput) {

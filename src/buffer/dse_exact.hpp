@@ -1,6 +1,8 @@
 // The exhaustive (reference) design-space exploration engine; see dse.hpp.
 #pragma once
 
+#include <functional>
+
 #include "buffer/dse.hpp"
 
 namespace buffy::buffer {
@@ -80,6 +82,41 @@ struct SliceOutcome {
                                               const DseOptions& options,
                                               const DesignSpaceBounds& bounds,
                                               const SliceRequest& request);
+
+/// One wave of a scattered divide and conquer: slices whose inputs are
+/// all known, so they may be evaluated in any order, on any process.
+struct SliceWave {
+  unsigned index = 0;  ///< 0 = the interval-endpoint wave
+  const DseOptions& options;  ///< engine-effective (quantisation applied)
+  const DesignSpaceBounds& bounds;
+  std::vector<SliceRequest> slices;
+};
+
+/// Evaluates every slice of a wave; returns the outcomes in slice order.
+using WaveEvaluator =
+    std::function<std::vector<SliceOutcome>(const SliceWave&)>;
+
+/// A scattered exploration's result plus the work it dispatched.
+struct ScatteredResult {
+  DseResult result;
+  unsigned waves = 0;
+  u64 slices = 0;
+};
+
+/// The exhaustive engine's divide and conquer over distribution sizes
+/// (Sec. 9) with slice evaluation delegated to `evaluate`: the plan, the
+/// quantisation, the breadth-first waves of interval mids, the fold in
+/// increasing size order, the min_throughput filter and the counter sums
+/// (work counters add up, peaks take the max). It evaluates exactly the
+/// (size, seed, slice_goal) triples of explore_exhaustive's memoised
+/// search, so with explore_size_slice behind `evaluate` the front is
+/// byte-identical to explore() with the exhaustive engine. A deadlocking
+/// graph yields an empty front and no waves. `options.cancel` is polled
+/// before every wave; a cancelled scatter throws exec::Cancelled (no
+/// partial front).
+[[nodiscard]] ScatteredResult explore_scattered(const sdf::Graph& graph,
+                                                const DseOptions& options,
+                                                const WaveEvaluator& evaluate);
 
 /// All storage distributions of exactly the given size (inside the Fig. 7
 /// box, clamped by the options' channel constraints) whose throughput is at

@@ -1,35 +1,33 @@
 // buffyd-router: the sharded multi-process front-end of the buffy
 // analysis fleet (DESIGN.md §17).
 //
-// A Router supervises a pool of worker `buffyd` processes — fork/exec'd,
-// health-checked, and restarted with exponential backoff when they crash
-// or stall — and speaks the same newline-delimited JSON protocol as a
-// single buffyd on its client-facing sockets, so clients need no fleet
-// awareness:
+// A Router is a Backend of the shared service::Frontend — the same
+// listeners, connection lifecycle, admission and drain barrier as a
+// single buffyd, so clients need no fleet awareness. Behind that door it
+// only routes and transports. It supervises a pool of worker `buffyd`
+// processes — fork/exec'd, health-checked, and restarted with exponential
+// backoff when they crash or stall — and:
 //
-//  * analyze_throughput / explore_pareto / explore_slice are routed by
-//    graph fingerprint to the graph's home shard (fingerprint mod
-//    workers), so repeated queries on one graph keep hitting the same
-//    worker's warm ThroughputCache;
-//  * explore_pareto with `"scatter":true` and the exhaustive engine is
-//    split at the router: it replicates the engine's divide-and-conquer
-//    driver over the size dimension and dispatches each per-size
-//    evaluation as an `explore_slice` request across the fleet in wave
-//    batches, re-dispatching slices lost to a worker crash, then merges
-//    the partial outcomes into a front byte-identical to a
-//    single-process exploration (the SizeOutcome purity contract of
-//    buffer::explore_size_slice);
-//  * per-shard admission is bounded: beyond `shard_queue_capacity`
+//  * routes analyze_throughput / explore_pareto / explore_slice by graph
+//    fingerprint to the graph's home shard (fingerprint mod workers), so
+//    repeated queries on one graph keep hitting the same worker's warm
+//    ThroughputCache;
+//  * runs explore_pareto with `"scatter":true` and the exhaustive engine
+//    through buffer::explore_scattered, whose wave callback it supplies:
+//    each slice of a wave goes out as an `explore_slice` request across
+//    the fleet, slices lost to a worker crash are re-dispatched, and the
+//    merged front is byte-identical to a single-process exploration (the
+//    purity contract of buffer::explore_size_slice);
+//  * bounds per-shard admission: beyond `shard_queue_capacity`
 //    outstanding requests a shard answers `overloaded` with a
 //    `retry_after_ms` hint instead of queueing unboundedly;
-//  * status aggregates router counters with per-shard supervision state
-//    (pid, restarts, queue depth) and each worker's own status
-//    (refreshed by the health pings), so affinity and backpressure are
+//  * reports router counters with per-shard supervision state (pid,
+//    restarts, queue depth) and each worker's own status (refreshed by the
+//    health pings) in `status`, so affinity and backpressure are
 //    observable from the outside.
 //
-// Worker connections and client connections both ride the paged wire
-// path (service::PagedBuffer / LineFramer): responses are adopted
-// zero-copy as buffer pages and receive buffers are filled in place.
+// Worker connections ride the same paged wire path as client connections
+// (service::read_lines / write_line).
 #pragma once
 
 #include <atomic>
@@ -44,6 +42,8 @@
 #include <vector>
 
 #include "base/checked_math.hpp"
+#include "exec/cancellation.hpp"
+#include "service/frontend.hpp"
 #include "service/json.hpp"
 
 namespace buffy::fleet {
@@ -102,11 +102,11 @@ struct ForwardPlan {
 };
 
 /// The fleet front-end; see file comment.
-class Router {
+class Router : private service::Backend {
  public:
   explicit Router(RouterOptions options);
   /// Initiates shutdown and waits for the drain if still running.
-  ~Router();
+  ~Router() override;
 
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
@@ -125,7 +125,7 @@ class Router {
   void wait();
 
   /// Port the TCP listener actually bound (0 when TCP is off).
-  [[nodiscard]] int tcp_port() const { return tcp_port_; }
+  [[nodiscard]] int tcp_port() const { return frontend_.tcp_port(); }
 
   [[nodiscard]] unsigned num_workers() const;
 
@@ -141,18 +141,20 @@ class Router {
 
   /// The status endpoint's "result" object (also reachable over the
   /// protocol via a `status` request).
-  [[nodiscard]] service::JsonValue status_json() const;
+  [[nodiscard]] service::JsonValue status_json() const override;
 
  private:
   struct Shard;
-  struct Connection;
   struct Reply;
-  class ScatterJob;
+  struct ScatterJob;
 
-  void accept_loop(int listen_fd);
-  void reader_loop(Connection* conn);
-  void handle_line(Connection* conn, const std::string& line);
-  void respond(Connection* conn, std::string line, bool ok);
+  // Backend
+  void dispatch(service::Connection& conn, service::Request&& req,
+                const std::string& line) override;
+  void cancel(service::Connection& conn,
+              const service::Request& req) override;
+  void on_disconnect(service::Connection& conn) override;
+  void after_drain() override;
 
   void supervisor_loop();
   void shard_tick(Shard& s);
@@ -164,60 +166,32 @@ class Router {
       Shard& s, service::JsonValue request, bool counts_as_job,
       std::optional<std::chrono::steady_clock::time_point> deadline,
       std::function<void(Reply)> on_reply);
+  bool send_cancel(unsigned shard, i64 remote_id,
+                   std::function<void(Reply)> on_reply);
   void drain_workers();
-  void finish_job(Connection* conn);
 
-  void dispatch_forward(Connection* conn,
+  void dispatch_forward(service::Connection& conn,
                         std::shared_ptr<service::JsonValue> doc,
                         ForwardPlan plan);
-  void scatter_explore(Connection* conn, std::shared_ptr<ScatterJob> job);
+  void scatter_explore(service::Connection& conn, const ScatterJob& job);
 
   RouterOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::chrono::steady_clock::time_point started_at_;
-
-  int unix_fd_ = -1;
-  int tcp_fd_ = -1;
-  int tcp_port_ = 0;
-  std::vector<std::thread> accept_threads_;
+  service::Frontend frontend_;
   std::thread supervisor_;
 
-  mutable std::mutex conns_mu_;
-  std::vector<std::unique_ptr<Connection>> conns_;
-
-  std::atomic<bool> started_{false};
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> reaped_{false};
   std::atomic<i64> next_internal_id_{1};
   std::atomic<unsigned> round_robin_{0};
 
-  mutable std::mutex sup_mu_;
+  std::mutex sup_mu_;
   std::condition_variable sup_cv_;
+  bool sup_stop_ = false;  // guarded by sup_mu_; set by after_drain
 
-  // Scatter jobs in flight (drain barrier).
-  mutable std::mutex jobs_mu_;
-  std::condition_variable jobs_cv_;
-  u64 jobs_in_system_ = 0;    // guarded by jobs_mu_
-  u64 inline_shutdowns_ = 0;  // shutdown handlers awaiting their response,
-                              // guarded by jobs_mu_ (see handle_line)
-
-  // Counters (relaxed; metrics only).
-  std::atomic<u64> requests_total_{0};
-  std::atomic<u64> analyze_requests_{0};
-  std::atomic<u64> explore_requests_{0};
-  std::atomic<u64> slice_requests_{0};
+  // Counters beyond the frontend's (relaxed; metrics only).
   std::atomic<u64> scatter_requests_{0};
-  std::atomic<u64> status_requests_{0};
-  std::atomic<u64> cancel_requests_{0};
-  std::atomic<u64> shutdown_requests_{0};
-  std::atomic<u64> responses_ok_{0};
-  std::atomic<u64> responses_error_{0};
-  std::atomic<u64> overloaded_{0};
   std::atomic<u64> forwarded_{0};
   std::atomic<u64> redispatches_{0};
   std::atomic<u64> worker_restarts_total_{0};
-  std::atomic<u64> connections_accepted_{0};
-  std::atomic<u64> connections_open_{0};
 };
 
 }  // namespace buffy::fleet

@@ -155,4 +155,35 @@ LineFramer::Status LineFramer::next_line(std::string& line) {
   return Status::Line;
 }
 
+bool read_lines(int fd, std::size_t max_line_bytes,
+                const std::function<void(const std::string&)>& on_line) {
+  LineFramer framer(max_line_bytes);
+  std::string line;
+  for (;;) {
+    const std::span<char> space = framer.buffer().peek_space(4096);
+    const ssize_t n = ::recv(fd, space.data(), space.size(), 0);
+    if (n <= 0) {
+      if (n < 0 && errno == EINTR) continue;
+      return true;
+    }
+    framer.buffer().commit_space(static_cast<std::size_t>(n));
+    for (;;) {
+      const LineFramer::Status status = framer.next_line(line);
+      if (status == LineFramer::Status::NeedMore) break;
+      if (status == LineFramer::Status::Overflow) return false;
+      if (line.find_first_not_of(" \t") != std::string::npos) on_line(line);
+    }
+  }
+}
+
+bool write_line(int fd, std::string line) {
+  PagedBuffer out;
+  out.add_reference(std::move(line));
+  out.append("\n");
+  while (!out.empty()) {
+    if (out.flush_to(fd) < 0 && errno != EINTR) return false;
+  }
+  return true;
+}
+
 }  // namespace buffy::service

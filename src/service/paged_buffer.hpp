@@ -22,6 +22,8 @@
 // LineFramer sits on top for the newline-delimited protocol: feed bytes
 // into buffer(), then pull complete lines; a line that exceeds the
 // configured bound reports Overflow instead of growing without bound.
+// read_lines() and write_line() are the whole wire loop on a socket, shared
+// by the daemons' client connections and the router's worker connections.
 //
 // Single-owner, externally synchronised (connections guard their outbound
 // buffer with the existing per-connection write mutex).
@@ -29,6 +31,7 @@
 
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -122,5 +125,17 @@ class LineFramer {
   std::size_t scanned_ = 0;  // prefix known to hold no newline
   std::size_t max_line_bytes_;
 };
+
+/// Reads `fd` until EOF or a receive error, handing every non-blank line
+/// to `on_line` (recv lands in the framer's pages in place). Returns false
+/// when a line exceeded `max_line_bytes` — reading stops there — and true
+/// at EOF.
+bool read_lines(int fd, std::size_t max_line_bytes,
+                const std::function<void(const std::string&)>& on_line);
+
+/// Sends `line` plus the newline on `fd`, adopting the string as a page
+/// (zero-copy). False when the send failed (the peer is gone or a send
+/// timeout expired). The caller serialises writers of one fd.
+[[nodiscard]] bool write_line(int fd, std::string line);
 
 }  // namespace buffy::service

@@ -1,117 +1,17 @@
 #include "service/server.hpp"
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
-#include <cstring>
-#include <unordered_map>
 #include <utility>
 
-#include "analysis/bounds.hpp"
 #include "analysis/max_throughput.hpp"
 #include "base/diagnostics.hpp"
 #include "buffer/dse.hpp"
 #include "buffer/dse_exact.hpp"
 #include "buffer/fast_front.hpp"
-#include "io/dsl.hpp"
-#include "io/sdf_xml.hpp"
-#include "service/paged_buffer.hpp"
+#include "service/codec.hpp"
 #include "state/throughput.hpp"
 
 namespace buffy::service {
-
-namespace {
-
-[[noreturn]] void throw_errno(const std::string& what) {
-  throw Error(what + ": " + std::strerror(errno));
-}
-
-/// Decodes the request's graph payload with the existing io/ readers
-/// (Auto sniffs: XML starts with '<' after whitespace, everything else is
-/// the DSL). Reader diagnostics surface as parse_error responses.
-sdf::Graph parse_graph(const Request& req) {
-  GraphFormat format = req.format;
-  if (format == GraphFormat::Auto) {
-    format = GraphFormat::Dsl;
-    for (const char c : req.graph_text) {
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') continue;
-      if (c == '<') format = GraphFormat::Xml;
-      break;
-    }
-  }
-  return format == GraphFormat::Xml ? io::read_sdf_xml(req.graph_text)
-                                    : io::read_dsl(req.graph_text);
-}
-
-sdf::ActorId resolve_target(const sdf::Graph& graph, const std::string& name) {
-  if (graph.num_actors() == 0) {
-    throw ProtocolError(ErrorCode::GraphInvalid, "the graph has no actors");
-  }
-  if (name.empty()) return sdf::ActorId(graph.num_actors() - 1);
-  const std::optional<sdf::ActorId> id = graph.find_actor(name);
-  if (!id.has_value()) {
-    throw ProtocolError(ErrorCode::GraphInvalid,
-                        "no actor named '" + name + "'");
-  }
-  return *id;
-}
-
-/// Magnitude admission (DESIGN.md §16): derives the graph's static
-/// magnitude certificate under the structural default budget and rejects
-/// graphs whose envelopes leave i64 — every engine downstream would only
-/// reach an OverflowError mid-analysis, so the daemon answers the
-/// structured magnitude_overflow code up front instead. Inconsistent
-/// graphs pass through untouched: the analysis entry points diagnose them
-/// with their richer graph_error messages. (Quality downgrade is NOT
-/// decided here: the certificate's lp_coeff_bound envelope covers every
-/// LP the budget box could build and routinely exceeds the stamped bound
-/// of the problems the fast tier actually solves — handle_explore judges
-/// the solves' outcome instead.)
-void admit_magnitudes(const sdf::Graph& graph) {
-  const analysis::BoundsCertificate cert = analysis::derive_bounds(graph);
-  if (cert.consistent && !cert.fits_i64) {
-    throw ProtocolError(ErrorCode::MagnitudeOverflow,
-                        "graph '" + graph.name() +
-                            "' rejected at admission: " +
-                            cert.overflow_detail);
-  }
-}
-
-/// Best-effort id recovery for error responses to requests that failed
-/// request-level validation: a client that sent `{"id":7,...}` with a bad
-/// member still gets its id echoed so it can correlate the error.
-std::optional<i64> try_extract_id(const std::string& line) {
-  try {
-    const JsonValue doc = JsonValue::parse(line);
-    const JsonValue* id = doc.find("id");
-    if (id != nullptr && id->is_int()) return id->as_int();
-  } catch (const std::exception&) {
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
-// One accepted client. The reader thread owns the receive side; the send
-// side is shared between the reader (inline responses) and pool workers
-// (job responses) under write_mu. `jobs` counts pool jobs still holding
-// this connection — a connection is reclaimed only when its reader exited
-// AND no job references it, so a worker never writes into a recycled fd.
-struct Server::Connection {
-  int fd = -1;
-  std::thread reader;
-  std::mutex write_mu;
-  std::mutex inflight_mu;
-  std::unordered_map<i64, exec::CancellationToken> inflight;
-  std::atomic<bool> open{true};
-  std::atomic<bool> done{false};
-  std::atomic<u64> jobs{0};
-};
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
@@ -119,7 +19,12 @@ Server::Server(ServerOptions options)
           options_.threads == 0 ? exec::ThreadPool::default_concurrency()
                                 : options_.threads)),
       registry_(options_.cache_graphs, options_.cache_entries_per_graph),
-      started_at_(std::chrono::steady_clock::now()) {
+      frontend_(FrontendOptions{.unix_socket_path = options_.unix_socket_path,
+                                .tcp_port = options_.tcp_port,
+                                .max_request_bytes = options_.max_request_bytes,
+                                .queue_capacity = options_.queue_capacity,
+                                .role = "daemon"},
+                *this) {
   BUFFY_REQUIRE(options_.queue_capacity > 0,
                 "ServerOptions::queue_capacity must be >= 1");
 }
@@ -129,409 +34,96 @@ Server::~Server() {
   wait();
 }
 
-void Server::start() {
-  BUFFY_REQUIRE(!started_.exchange(true), "Server::start() called twice");
-  BUFFY_REQUIRE(
-      !options_.unix_socket_path.empty() || options_.tcp_port.has_value(),
-      "no listener configured: set unix_socket_path and/or tcp_port");
-  try {
-    if (!options_.unix_socket_path.empty()) {
-      const std::string& path = options_.unix_socket_path;
-      sockaddr_un addr{};
-      addr.sun_family = AF_UNIX;
-      if (path.size() >= sizeof(addr.sun_path)) {
-        throw Error("unix socket path too long: '" + path + "'");
-      }
-      std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-      unix_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-      if (unix_fd_ < 0) throw_errno("socket(AF_UNIX)");
-      ::unlink(path.c_str());
-      if (::bind(unix_fd_, reinterpret_cast<const sockaddr*>(&addr),
-                 sizeof(addr)) != 0) {
-        throw_errno("bind('" + path + "')");
-      }
-      if (::listen(unix_fd_, 128) != 0) throw_errno("listen('" + path + "')");
-    }
-    if (options_.tcp_port.has_value()) {
-      BUFFY_REQUIRE(*options_.tcp_port >= 0 && *options_.tcp_port <= 65535,
-                    "tcp_port must be in [0, 65535]");
-      tcp_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-      if (tcp_fd_ < 0) throw_errno("socket(AF_INET)");
-      const int one = 1;
-      ::setsockopt(tcp_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_port = htons(static_cast<std::uint16_t>(*options_.tcp_port));
-      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-      if (::bind(tcp_fd_, reinterpret_cast<const sockaddr*>(&addr),
-                 sizeof(addr)) != 0) {
-        throw_errno("bind(tcp port " + std::to_string(*options_.tcp_port) +
-                    ")");
-      }
-      if (::listen(tcp_fd_, 128) != 0) throw_errno("listen(tcp)");
-      socklen_t len = sizeof(addr);
-      if (::getsockname(tcp_fd_, reinterpret_cast<sockaddr*>(&addr), &len) !=
-          0) {
-        throw_errno("getsockname(tcp)");
-      }
-      tcp_port_ = ntohs(addr.sin_port);
-    }
-  } catch (...) {
-    if (unix_fd_ >= 0) ::close(unix_fd_);
-    if (tcp_fd_ >= 0) ::close(tcp_fd_);
-    unix_fd_ = tcp_fd_ = -1;
-    throw;
-  }
-  if (unix_fd_ >= 0) {
-    accept_threads_.emplace_back([this] { accept_loop(unix_fd_); });
-  }
-  if (tcp_fd_ >= 0) {
-    accept_threads_.emplace_back([this] { accept_loop(tcp_fd_); });
-  }
-}
+void Server::start() { frontend_.start(); }
 
-void Server::shutdown() {
-  if (!draining_.exchange(true)) {
-    // SHUT_RDWR unblocks accept() in the listener threads; the fds are
-    // closed in wait(), after those threads joined.
-    if (unix_fd_ >= 0) ::shutdown(unix_fd_, SHUT_RDWR);
-    if (tcp_fd_ >= 0) ::shutdown(tcp_fd_, SHUT_RDWR);
-  }
-  jobs_cv_.notify_all();
-}
+void Server::shutdown() { frontend_.shutdown(); }
 
-void Server::wait() {
-  if (!started_.load(std::memory_order_acquire)) return;
-  {
-    std::unique_lock<std::mutex> lock(jobs_mu_);
-    jobs_cv_.wait(lock, [this] {
-      return draining_.load(std::memory_order_relaxed) &&
-             jobs_in_system_ == 0 && inline_shutdowns_ == 0;
-    });
-  }
-  if (reaped_.exchange(true)) return;
-  for (std::thread& t : accept_threads_) t.join();
-  accept_threads_.clear();
-  if (unix_fd_ >= 0) {
-    ::close(unix_fd_);
-    ::unlink(options_.unix_socket_path.c_str());
-    unix_fd_ = -1;
-  }
-  if (tcp_fd_ >= 0) {
-    ::close(tcp_fd_);
-    tcp_fd_ = -1;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(conns_mu_);
-    // Every job has drained, so the readers are the only users left:
-    // unblock them, join them, then the fds can close.
-    for (const std::unique_ptr<Connection>& c : conns_) {
-      c->open.store(false, std::memory_order_relaxed);
-      ::shutdown(c->fd, SHUT_RDWR);
-    }
-    for (const std::unique_ptr<Connection>& c : conns_) {
-      if (c->reader.joinable()) c->reader.join();
-      ::close(c->fd);
-    }
-    conns_.clear();
-  }
-  pool_->stop();
-}
+void Server::wait() { frontend_.wait(); }
 
-void Server::accept_loop(int listen_fd) {
-  for (;;) {
-    const int client_fd = ::accept(listen_fd, nullptr, nullptr);
-    if (client_fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener shut down (or a hard error): stop accepting
-    }
-    if (draining_.load(std::memory_order_relaxed)) {
-      ::close(client_fd);
-      continue;
-    }
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    connections_open_.fetch_add(1, std::memory_order_relaxed);
-    auto conn = std::make_unique<Connection>();
-    conn->fd = client_fd;
-    Connection* raw = conn.get();
-    {
-      const std::lock_guard<std::mutex> lock(conns_mu_);
-      reap_finished_locked();
-      conns_.push_back(std::move(conn));
-      raw->reader = std::thread([this, raw] { reader_loop(raw); });
-    }
-  }
-}
+void Server::after_drain() { pool_->stop(); }
 
-void Server::reap_finished_locked() {
-  for (std::size_t i = 0; i < conns_.size();) {
-    Connection& c = *conns_[i];
-    if (c.done.load(std::memory_order_acquire) &&
-        c.jobs.load(std::memory_order_acquire) == 0) {
-      c.reader.join();
-      ::close(c.fd);
-      conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(i));
-    } else {
-      ++i;
-    }
-  }
-}
-
-void Server::reader_loop(Connection* conn) {
-  // Paged inbound path: recv() lands directly in the framer's tail page
-  // (peek_space/commit_space), and line extraction drains pages instead
-  // of erasing a contiguous string's front — O(new bytes) per read
-  // regardless of how many requests are pipelined on the connection.
-  LineFramer framer(options_.max_request_bytes);
-  std::string line;
-  bool overflowed = false;
-  while (!overflowed) {
-    const std::span<char> space = framer.buffer().peek_space(4096);
-    const ssize_t n = ::recv(conn->fd, space.data(), space.size(), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      break;
-    }
-    framer.buffer().commit_space(static_cast<std::size_t>(n));
-    for (;;) {
-      const LineFramer::Status status = framer.next_line(line);
-      if (status == LineFramer::Status::NeedMore) break;
-      if (status == LineFramer::Status::Overflow) {
-        respond(conn,
-                error_response(std::nullopt, ErrorCode::BadRequest,
-                               "request line exceeds " +
-                                   std::to_string(options_.max_request_bytes) +
-                                   " bytes"),
-                /*ok=*/false);
-        overflowed = true;
-        break;
-      }
-      if (line.find_first_not_of(" \t") == std::string::npos) continue;
-      handle_line(conn, line);
-    }
-  }
-  conn->open.store(false, std::memory_order_relaxed);
-  ::shutdown(conn->fd, SHUT_RDWR);
-  {
-    // A disconnected client cannot receive results: cancel whatever it
-    // still has in flight so workers stop burning time on it.
-    const std::lock_guard<std::mutex> lock(conn->inflight_mu);
-    for (const auto& [id, token] : conn->inflight) token.cancel();
-  }
-  connections_open_.fetch_sub(1, std::memory_order_relaxed);
-  conn->done.store(true, std::memory_order_release);
-}
-
-void Server::respond(Connection* conn, std::string line, bool ok) {
-  (ok ? responses_ok_ : responses_error_)
-      .fetch_add(1, std::memory_order_relaxed);
-  if (!conn->open.load(std::memory_order_relaxed)) return;
-  const std::lock_guard<std::mutex> lock(conn->write_mu);
-  // Zero-copy outbound path: the already-materialised response line is
-  // adopted as a page (add_reference) and the newline rides in the page
-  // chain's tail — no per-message reassembly into a fresh string.
-  PagedBuffer out;
-  out.add_reference(std::move(line));
-  out.append("\n");
-  while (!out.empty()) {
-    if (out.flush_to(conn->fd) < 0) {
-      if (errno == EINTR) continue;
-      conn->open.store(false, std::memory_order_relaxed);
-      return;
-    }
-  }
-}
-
-void Server::handle_line(Connection* conn, const std::string& line) {
-  requests_total_.fetch_add(1, std::memory_order_relaxed);
-  Request req;
-  try {
-    req = parse_request(line);
-  } catch (const ProtocolError& e) {
-    respond(conn, error_response(try_extract_id(line), e.code(), e.what()),
-            /*ok=*/false);
-    return;
-  }
-
-  switch (req.method) {
-    case Method::Status: {
-      status_requests_.fetch_add(1, std::memory_order_relaxed);
-      respond(conn, ok_response(req.id, status().json()), /*ok=*/true);
-      return;
-    }
-    case Method::Cancel: {
-      cancel_requests_.fetch_add(1, std::memory_order_relaxed);
-      bool found = false;
-      {
-        const std::lock_guard<std::mutex> lock(conn->inflight_mu);
-        const auto it = conn->inflight.find(*req.cancel_id);
-        if (it != conn->inflight.end()) {
-          it->second.cancel();
-          found = true;
-        }
-      }
-      JsonValue result = JsonValue::object();
-      result.set("cancelled", JsonValue::boolean(found));
-      respond(conn, ok_response(req.id, result), /*ok=*/true);
-      return;
-    }
-    case Method::Shutdown: {
-      shutdown_requests_.fetch_add(1, std::memory_order_relaxed);
-      {
-        const std::lock_guard<std::mutex> lock(jobs_mu_);
-        ++inline_shutdowns_;
-      }
-      shutdown();
-      {
-        // Drain barrier: every admitted job completes (running ones
-        // finish their analysis, queued ones answer shutting_down) before
-        // the confirmation goes out. inline_shutdowns_ keeps wait() from
-        // closing this connection under the response.
-        std::unique_lock<std::mutex> lock(jobs_mu_);
-        jobs_cv_.wait(lock, [this] { return jobs_in_system_ == 0; });
-      }
-      JsonValue result = JsonValue::object();
-      result.set("drained", JsonValue::boolean(true));
-      respond(conn, ok_response(req.id, result), /*ok=*/true);
-      {
-        const std::lock_guard<std::mutex> lock(jobs_mu_);
-        --inline_shutdowns_;
-      }
-      jobs_cv_.notify_all();
-      return;
-    }
-    case Method::AnalyzeThroughput:
-    case Method::ExplorePareto:
-    case Method::ExploreSlice:
-      break;
-  }
-
-  (req.method == Method::AnalyzeThroughput
-       ? analyze_requests_
-       : req.method == Method::ExploreSlice ? slice_requests_
-                                            : explore_requests_)
-      .fetch_add(1, std::memory_order_relaxed);
-
-  // Admission control: bounded jobs in the system; over the bound the
-  // client hears `overloaded` immediately instead of queueing unbounded
-  // work (and never a silent drop). During a drain nothing is admitted.
-  {
-    const std::lock_guard<std::mutex> lock(jobs_mu_);
-    if (draining_.load(std::memory_order_relaxed)) {
-      shutting_down_rejections_.fetch_add(1, std::memory_order_relaxed);
-      respond(conn,
-              error_response(req.id, ErrorCode::ShuttingDown,
-                             "the daemon is draining"),
-              /*ok=*/false);
-      return;
-    }
-    if (jobs_in_system_ >= options_.queue_capacity) {
-      overloaded_.fetch_add(1, std::memory_order_relaxed);
-      respond(conn,
-              error_response(req.id, ErrorCode::Overloaded,
-                             "job queue at capacity (" +
-                                 std::to_string(options_.queue_capacity) +
-                                 "); retry later"),
-              /*ok=*/false);
-      return;
-    }
-    ++jobs_in_system_;
-  }
+void Server::dispatch(Connection& conn, Request&& req, const std::string&) {
   jobs_queued_.fetch_add(1, std::memory_order_relaxed);
-  conn->jobs.fetch_add(1, std::memory_order_relaxed);
-
   // `parent` is the explicit-cancellation root: a `cancel` request or a
   // client disconnect fires it. Deadlines are layered on top inside
   // run_job, so run_job can tell the two apart afterwards.
   const exec::CancellationToken parent = exec::CancellationToken::cancellable();
   if (req.id.has_value()) {
-    const std::lock_guard<std::mutex> lock(conn->inflight_mu);
-    conn->inflight[*req.id] = parent;
+    const std::lock_guard<std::mutex> lock(conn.inflight_mu);
+    conn.inflight[*req.id] = Connection::Inflight{.token = parent};
   }
-  pool_->submit([this, conn, req, parent] { run_job(conn, req, parent); });
+  pool_->submit([this, &conn, req = std::move(req), parent] {
+    run_job(conn, req, parent);
+  });
 }
 
-void Server::run_job(Connection* conn, const Request& req,
+void Server::cancel(Connection& conn, const Request& req) {
+  bool found = false;
+  {
+    const std::lock_guard<std::mutex> lock(conn.inflight_mu);
+    const auto it = conn.inflight.find(*req.cancel_id);
+    if (it != conn.inflight.end()) {
+      it->second.token.cancel();
+      found = true;
+    }
+  }
+  frontend_.respond(conn, cancel_response(req.id, found), /*ok=*/true);
+}
+
+void Server::on_disconnect(Connection& conn) {
+  // Workers stop burning time on results nobody can receive.
+  const std::lock_guard<std::mutex> lock(conn.inflight_mu);
+  for (const auto& [id, entry] : conn.inflight) entry.token.cancel();
+}
+
+void Server::run_job(Connection& conn, const Request& req,
                      const exec::CancellationToken& parent) {
   jobs_queued_.fetch_sub(1, std::memory_order_relaxed);
   jobs_running_.fetch_add(1, std::memory_order_relaxed);
 
   std::string response;
   bool ok = false;
-  if (draining_.load(std::memory_order_relaxed)) {
+  if (frontend_.draining()) {
     // Start gate: the job was queued before the drain began but never
     // started — the protocol's promise is shutting_down, not a result.
-    shutting_down_rejections_.fetch_add(1, std::memory_order_relaxed);
+    frontend_.counters().shutting_down.fetch_add(1, std::memory_order_relaxed);
     response = error_response(req.id, ErrorCode::ShuttingDown,
                               "the daemon began draining before this "
                               "request started");
   } else {
     exec::CancellationToken token = parent;
-    if (req.deadline_ms.has_value()) {
-      token = parent.with_deadline(*req.deadline_ms);
-    } else if (options_.default_deadline_ms > 0) {
-      token = parent.with_deadline(options_.default_deadline_ms);
+    if (req.deadline_ms.has_value() || options_.default_deadline_ms > 0) {
+      token = parent.with_deadline(
+          req.deadline_ms.value_or(options_.default_deadline_ms));
     }
     try {
-      const JsonValue result =
-          req.method == Method::AnalyzeThroughput
-              ? handle_analyze(req, token)
-              : req.method == Method::ExploreSlice
-                    ? handle_explore_slice(req, token)
-                    : handle_explore(req, token);
-      response = ok_response(req.id, result);
+      response = ok_response(
+          req.id, req.method == Method::AnalyzeThroughput
+                      ? handle_analyze(req, token)
+                      : req.method == Method::ExploreSlice
+                            ? handle_explore_slice(req, token)
+                            : handle_explore(req, token));
       ok = true;
-    } catch (const exec::Cancelled&) {
+    } catch (...) {
       // The parent only ever fires on an explicit cancel / disconnect;
       // anything else on the chain is the deadline.
-      const ErrorCode code = parent.cancelled() ? ErrorCode::Cancelled
-                                                : ErrorCode::DeadlineExceeded;
-      response = error_response(req.id, code,
-                                code == ErrorCode::Cancelled
-                                    ? "the request was cancelled"
-                                    : "the deadline expired before the "
-                                      "analysis finished");
-    } catch (const ProtocolError& e) {
-      response = error_response(req.id, e.code(), e.what());
-    } catch (const ParseError& e) {
-      response = error_response(req.id, ErrorCode::GraphParseError, e.what());
-    } catch (const GraphError& e) {
-      response = error_response(req.id, ErrorCode::GraphInvalid, e.what());
-    } catch (const InternalError& e) {
-      response = error_response(req.id, ErrorCode::InternalError, e.what());
-    } catch (const Error& e) {
-      // Remaining library preconditions are request-induced (capacities
-      // below initial tokens, safety bounds exceeded): the graph/request
-      // combination is invalid, the daemon is fine.
-      response = error_response(req.id, ErrorCode::GraphInvalid, e.what());
-    } catch (const std::exception& e) {
-      response = error_response(req.id, ErrorCode::InternalError, e.what());
+      response = current_error_response(req.id, parent.cancelled());
     }
   }
-  respond(conn, response, ok);
+  frontend_.respond(conn, std::move(response), ok);
 
   if (req.id.has_value()) {
-    const std::lock_guard<std::mutex> lock(conn->inflight_mu);
-    conn->inflight.erase(*req.id);
+    const std::lock_guard<std::mutex> lock(conn.inflight_mu);
+    conn.inflight.erase(*req.id);
   }
   jobs_running_.fetch_sub(1, std::memory_order_relaxed);
-  // Last touch of conn. This must precede the jobs_in_system_ decrement:
-  // once that hits zero the drain in wait() may join readers and destroy
-  // every Connection, so no statement after this line may reference conn.
-  conn->jobs.fetch_sub(1, std::memory_order_release);
-  {
-    const std::lock_guard<std::mutex> lock(jobs_mu_);
-    --jobs_in_system_;
-  }
-  jobs_cv_.notify_all();
+  frontend_.finish(conn);  // last touch of conn
 }
 
 JsonValue Server::handle_analyze(const Request& req,
                                  const exec::CancellationToken& token) {
   token.checkpoint();
-  const sdf::Graph graph = parse_graph(req);
-  const sdf::ActorId target = resolve_target(graph, req.target);
-  admit_magnitudes(graph);
+  const auto [graph, target] = decode_graph(req, /*admit=*/true);
   token.checkpoint();
 
   JsonValue result = JsonValue::object();
@@ -573,9 +165,8 @@ JsonValue Server::handle_analyze(const Request& req,
 JsonValue Server::handle_explore(const Request& req,
                                  const exec::CancellationToken& token) {
   token.checkpoint();
-  const sdf::Graph graph = parse_graph(req);
-  const sdf::ActorId target = resolve_target(graph, req.target);
-  admit_magnitudes(graph);
+  const auto [graph, target] = decode_graph(req, /*admit=*/true);
+  const std::string& target_name = graph.actor(target).name;
 
   // quality=fast: the LP-only front (buffer/fast_front) — sound but
   // approximate, answered without per-candidate simulation, and without
@@ -595,42 +186,14 @@ JsonValue Server::handle_explore(const Request& req,
   // build and routinely exceeds the stamped bound of the problems the
   // grid actually solves (h263 clears the pivot gate by 300x under it).
   bool downgraded = false;
-  bool want_fast = req.quality == std::optional<std::string>("fast");
-  if (want_fast) {
+  if (req.quality == std::optional<std::string>("fast")) {
     token.checkpoint();
     const buffer::FastFrontResult fast = buffer::fast_front(
         graph, target, req.levels.value_or(8));
     token.checkpoint();
-    if (fast.lp_solves > 0 && fast.lp_overflows == fast.lp_solves) {
-      want_fast = false;
-      downgraded = true;
-    } else {
-      JsonValue res = JsonValue::object();
-      res.set("target", JsonValue::string(graph.actor(target).name));
-      res.set("quality", JsonValue::string("fast"));
-      res.set("deadlock", JsonValue::boolean(fast.bounds.deadlock));
-      if (!fast.bounds.deadlock) {
-        JsonValue bounds = JsonValue::object();
-        bounds.set("lb_size", JsonValue::integer(fast.bounds.lb_size));
-        bounds.set("ub_size", JsonValue::integer(fast.bounds.ub_size));
-        bounds.set("max_throughput",
-                   JsonValue::string(fast.bounds.max_throughput.str()));
-        res.set("bounds", bounds);
-      }
-      res.set("front", JsonValue::string(fast.pareto.str()));
-      JsonValue points = JsonValue::array();
-      for (const buffer::ParetoPoint& p : fast.pareto.points()) {
-        JsonValue point = JsonValue::object();
-        point.set("size", JsonValue::integer(p.size()));
-        point.set("throughput", JsonValue::string(p.throughput.str()));
-        JsonValue caps = JsonValue::array();
-        for (const i64 c : p.distribution.capacities()) {
-          caps.push_back(JsonValue::integer(c));
-        }
-        point.set("capacities", caps);
-        points.push_back(point);
-      }
-      res.set("points", points);
+    downgraded = fast.lp_solves > 0 && fast.lp_overflows == fast.lp_solves;
+    if (!downgraded) {
+      JsonValue res = front_json(target_name, "fast", fast.bounds, fast.pareto);
       res.set("lp_solves",
               JsonValue::integer(static_cast<i64>(fast.lp_solves)));
       res.set("lp_pivots",
@@ -641,29 +204,8 @@ JsonValue Server::handle_explore(const Request& req,
     }
   }
 
-  buffer::DseOptions opts;
-  opts.target = target;
-  opts.engine = req.engine == std::optional<std::string>("exh")
-                    ? buffer::DseEngine::Exhaustive
-                    : buffer::DseEngine::Incremental;
-  opts.quantization_levels = req.levels;
-  opts.max_distribution_size = req.max_size;
-  opts.throughput_goal = req.goal;
-  opts.min_throughput = req.min_throughput;
-  {
-    const unsigned cap = options_.max_threads_per_request == 0
-                             ? 1
-                             : options_.max_threads_per_request;
-    // Requests that don't ask for threads get the full per-request grant:
-    // the engines spawn workers lazily and keep cheap slices sequential
-    // (adaptive granularity), so the grant costs nothing on small
-    // explorations, and the front is byte-identical at any thread count.
-    opts.threads = req.threads.has_value()
-                       ? static_cast<unsigned>(std::min<i64>(
-                             *req.threads, static_cast<i64>(cap)))
-                       : cap;
-  }
-  opts.use_throughput_cache = req.use_cache;
+  buffer::DseOptions opts = exploration_options(
+      req, target, std::max(1u, options_.max_threads_per_request));
   opts.cancel = token;
   opts.progress = &progress_;
 
@@ -672,16 +214,13 @@ JsonValue Server::handle_explore(const Request& req,
   // throughput being a pure function of (graph, target, capacities) — see
   // cache_registry.hpp — and the front is byte-identical warm or cold.
   CacheRegistry::Lease lease;  // keeps an evicted cache alive while used
-  bool warm = false;
   if (req.use_cache) {
     token.checkpoint();
     const analysis::MaxThroughput mt = analysis::max_throughput(graph);
     if (!mt.deadlock) {
-      const u64 fingerprint =
-          graph_fingerprint(graph, graph.actor(target).name);
-      lease = registry_.get_or_create(fingerprint, mt.actor_throughput(target));
+      lease = registry_.get_or_create(graph_fingerprint(graph, target_name),
+                                      mt.actor_throughput(target));
       opts.shared_cache = lease.cache.get();
-      warm = lease.warm;
     }
   }
 
@@ -692,79 +231,18 @@ JsonValue Server::handle_explore(const Request& req,
     // dropped and the cause reported (run_job picks the code).
     throw exec::Cancelled();
   }
-
-  JsonValue res = JsonValue::object();
-  res.set("target", JsonValue::string(graph.actor(target).name));
-  res.set("quality", JsonValue::string("exact"));
-  if (downgraded) res.set("downgraded", JsonValue::boolean(true));
-  res.set("deadlock", JsonValue::boolean(result.bounds.deadlock));
-  if (!result.bounds.deadlock) {
-    JsonValue bounds = JsonValue::object();
-    bounds.set("lb_size", JsonValue::integer(result.bounds.lb_size));
-    bounds.set("ub_size", JsonValue::integer(result.bounds.ub_size));
-    bounds.set("max_throughput",
-               JsonValue::string(result.bounds.max_throughput.str()));
-    res.set("bounds", bounds);
-  }
-  // `front` is the exact text explore_cli prints: the service tests
-  // compare it byte-for-byte against the CLI on the same graph.
-  res.set("front", JsonValue::string(result.pareto.str()));
-  JsonValue points = JsonValue::array();
-  for (const buffer::ParetoPoint& p : result.pareto.points()) {
-    JsonValue point = JsonValue::object();
-    point.set("size", JsonValue::integer(p.size()));
-    point.set("throughput", JsonValue::string(p.throughput.str()));
-    JsonValue caps = JsonValue::array();
-    for (const i64 c : p.distribution.capacities()) {
-      caps.push_back(JsonValue::integer(c));
-    }
-    point.set("capacities", caps);
-    points.push_back(point);
-  }
-  res.set("points", points);
-  res.set("distributions_explored",
-          JsonValue::integer(static_cast<i64>(result.distributions_explored)));
-  res.set("simulations_run",
-          JsonValue::integer(static_cast<i64>(result.simulations_run)));
-  res.set("cache_hits",
-          JsonValue::integer(static_cast<i64>(result.cache_hits)));
-  res.set("dominance_skips",
-          JsonValue::integer(static_cast<i64>(result.dominance_skips)));
-  res.set("lp_prunes",
-          JsonValue::integer(static_cast<i64>(result.lp_prunes)));
-  res.set("lp_cuts", JsonValue::integer(static_cast<i64>(result.lp_cuts)));
-  res.set("static_narrow", JsonValue::boolean(result.static_narrow));
-  res.set("max_states_stored",
-          JsonValue::integer(static_cast<i64>(result.max_states_stored)));
-  res.set("seconds", JsonValue::number(result.seconds));
-  res.set("cached_graph", JsonValue::boolean(warm));
-  return res;
+  return explore_result_json(target_name, result, lease.warm, downgraded);
 }
 
 JsonValue Server::handle_explore_slice(const Request& req,
                                        const exec::CancellationToken& token) {
   token.checkpoint();
-  const sdf::Graph graph = parse_graph(req);
-  const sdf::ActorId target = resolve_target(graph, req.target);
-  admit_magnitudes(graph);
+  const auto [graph, target] = decode_graph(req, /*admit=*/true);
   token.checkpoint();
 
-  buffer::DseOptions opts;
-  opts.target = target;
+  buffer::DseOptions opts = exploration_options(
+      req, target, std::max(1u, options_.max_threads_per_request));
   opts.engine = buffer::DseEngine::Exhaustive;
-  opts.quantization_levels = req.levels;
-  opts.max_distribution_size = req.max_size;
-  opts.throughput_goal = req.goal;
-  {
-    const unsigned cap = options_.max_threads_per_request == 0
-                             ? 1
-                             : options_.max_threads_per_request;
-    opts.threads = req.threads.has_value()
-                       ? static_cast<unsigned>(std::min<i64>(
-                             *req.threads, static_cast<i64>(cap)))
-                       : cap;
-  }
-  opts.use_throughput_cache = req.use_cache;
   opts.cancel = token;
   opts.progress = &progress_;
 
@@ -778,19 +256,20 @@ JsonValue Server::handle_explore_slice(const Request& req,
                         "the graph deadlocks for every storage "
                         "distribution; there is no slice to evaluate");
   }
-  // The router replicates this exact preprocessing before planning the
-  // d&c, so both sides evaluate the slice under identical engine-effective
-  // options — the byte-identity contract of the scattered front.
+  // buffer::explore_scattered applies this exact preprocessing before
+  // planning the d&c, so both sides evaluate the slice under identical
+  // engine-effective options — the byte-identity contract of the
+  // scattered front.
   buffer::apply_quantization_levels(opts, bounds);
 
   // Fingerprint-affine warm state: the router routes every slice of a
   // graph to its home shard, so repeated waves hit this lease warm.
+  const std::string& target_name = graph.actor(target).name;
   CacheRegistry::Lease lease;
   if (req.use_cache) {
     token.checkpoint();
-    const u64 fingerprint =
-        graph_fingerprint(graph, graph.actor(target).name);
-    lease = registry_.get_or_create(fingerprint, bounds.max_throughput);
+    lease = registry_.get_or_create(graph_fingerprint(graph, target_name),
+                                    bounds.max_throughput);
     opts.shared_cache = lease.cache.get();
   }
 
@@ -798,61 +277,35 @@ JsonValue Server::handle_explore_slice(const Request& req,
   slice.size = *req.slice_size;
   if (!req.slice_seed.empty()) slice.seed = req.slice_seed;
   slice.slice_goal = *req.slice_goal;
-  const buffer::SliceOutcome outcome =
-      buffer::explore_size_slice(graph, opts, bounds, slice);
-
-  JsonValue res = JsonValue::object();
-  res.set("target", JsonValue::string(graph.actor(target).name));
-  res.set("size", JsonValue::integer(slice.size));
-  res.set("throughput", JsonValue::string(outcome.throughput.str()));
-  JsonValue caps = JsonValue::array();
-  for (const i64 c : outcome.witness.capacities()) {
-    caps.push_back(JsonValue::integer(c));
-  }
-  res.set("capacities", caps);
-  res.set("distributions_explored",
-          JsonValue::integer(static_cast<i64>(outcome.distributions_explored)));
-  res.set("simulations_run",
-          JsonValue::integer(static_cast<i64>(outcome.simulations_run)));
-  res.set("cache_hits",
-          JsonValue::integer(static_cast<i64>(outcome.cache_hits)));
-  res.set("dominance_skips",
-          JsonValue::integer(static_cast<i64>(outcome.dominance_skips)));
-  res.set("lp_prunes",
-          JsonValue::integer(static_cast<i64>(outcome.lp_prunes)));
-  res.set("lp_cuts", JsonValue::integer(static_cast<i64>(outcome.lp_cuts)));
-  res.set("static_narrow", JsonValue::boolean(outcome.static_narrow));
-  res.set("max_states_stored",
-          JsonValue::integer(static_cast<i64>(outcome.max_states_stored)));
-  res.set("cached_graph", JsonValue::boolean(lease.warm));
-  return res;
+  return slice_outcome_json(
+      target_name, slice.size,
+      buffer::explore_size_slice(graph, opts, bounds, slice), lease.warm);
 }
 
 ServerStatus Server::status() const {
+  const FrontendCounters& c = frontend_.counters();
+  const auto get = [](const std::atomic<u64>& v) {
+    return v.load(std::memory_order_relaxed);
+  };
   ServerStatus s;
-  s.draining = draining_.load(std::memory_order_relaxed);
-  s.uptime_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started_at_)
-          .count();
-  s.requests_total = requests_total_.load(std::memory_order_relaxed);
-  s.analyze_requests = analyze_requests_.load(std::memory_order_relaxed);
-  s.explore_requests = explore_requests_.load(std::memory_order_relaxed);
-  s.slice_requests = slice_requests_.load(std::memory_order_relaxed);
-  s.status_requests = status_requests_.load(std::memory_order_relaxed);
-  s.cancel_requests = cancel_requests_.load(std::memory_order_relaxed);
-  s.shutdown_requests = shutdown_requests_.load(std::memory_order_relaxed);
-  s.responses_ok = responses_ok_.load(std::memory_order_relaxed);
-  s.responses_error = responses_error_.load(std::memory_order_relaxed);
-  s.overloaded = overloaded_.load(std::memory_order_relaxed);
-  s.shutting_down_rejections =
-      shutting_down_rejections_.load(std::memory_order_relaxed);
-  s.jobs_queued = jobs_queued_.load(std::memory_order_relaxed);
-  s.jobs_running = jobs_running_.load(std::memory_order_relaxed);
+  s.draining = frontend_.draining();
+  s.uptime_seconds = frontend_.uptime_seconds();
+  s.requests_total = get(c.requests);
+  s.analyze_requests = get(c.analyze);
+  s.explore_requests = get(c.explore);
+  s.slice_requests = get(c.slice);
+  s.status_requests = get(c.status);
+  s.cancel_requests = get(c.cancel);
+  s.shutdown_requests = get(c.shutdown);
+  s.responses_ok = get(c.ok);
+  s.responses_error = get(c.error);
+  s.overloaded = get(c.overloaded);
+  s.shutting_down_rejections = get(c.shutting_down);
+  s.jobs_queued = get(jobs_queued_);
+  s.jobs_running = get(jobs_running_);
   s.queue_capacity = options_.queue_capacity;
-  s.connections_accepted =
-      connections_accepted_.load(std::memory_order_relaxed);
-  s.connections_open = connections_open_.load(std::memory_order_relaxed);
+  s.connections_accepted = get(c.connections_accepted);
+  s.connections_open = get(c.connections_open);
   s.cache_graphs_resident = registry_.resident();
   s.cache_graph_capacity = registry_.max_graphs();
   s.cache_warm_hits = registry_.warm_hits();
@@ -861,6 +314,8 @@ ServerStatus Server::status() const {
   s.progress = progress_.snapshot();
   return s;
 }
+
+JsonValue Server::status_json() const { return status().json(); }
 
 JsonValue ServerStatus::json() const {
   const auto u = [](u64 v) { return JsonValue::integer(static_cast<i64>(v)); };

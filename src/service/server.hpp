@@ -1,23 +1,17 @@
 // buffyd — the resident analysis daemon (DESIGN.md §10).
 //
-// A Server owns one or two listening sockets (Unix-domain and/or TCP on
-// the loopback-reachable wildcard), a work-stealing exec::ThreadPool the
-// analysis requests run on, and a CacheRegistry of warm per-graph
-// throughput caches shared by every request. Each accepted connection
-// gets a reader thread that splits the byte stream into newline-delimited
-// JSON requests:
-//
-//  * status / cancel / shutdown are answered inline on the reader thread
-//    (they are cheap and must work even when the pool is saturated);
-//  * analyze_throughput / explore_pareto are admission-checked against a
-//    bounded in-system job count — at capacity the daemon answers
-//    `overloaded` immediately, it never drops a request silently — and
-//    then submitted to the pool with a per-request CancellationToken
-//    (deadline_ms composes with explicit cancel and client disconnect).
+// A Server is a Backend of the shared service::Frontend (frontend.hpp),
+// which owns the listeners, the per-connection reader threads, the inline
+// status / shutdown requests, admission against `queue_capacity` and the
+// drain barrier. The Server adds what runs behind that door: a
+// work-stealing exec::ThreadPool the analysis requests run on, each with a
+// per-request CancellationToken (deadline_ms composes with explicit cancel
+// and client disconnect), and a CacheRegistry of warm per-graph
+// throughput caches shared by every request.
 //
 // Shutdown drains: the listeners close, requests already running complete
 // and deliver their responses, submitted-but-not-started jobs answer
-// `shutting_down`, then the reader threads are joined and the pool stops.
+// `shutting_down`, then the pool stops and the reader threads are joined.
 // wait() returns only after that point, so `buffyd` can simply
 // start(); wait(); return.
 //
@@ -27,19 +21,16 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "base/checked_math.hpp"
 #include "exec/cancellation.hpp"
 #include "exec/progress.hpp"
 #include "exec/thread_pool.hpp"
 #include "service/cache_registry.hpp"
+#include "service/frontend.hpp"
 #include "service/protocol.hpp"
 
 namespace buffy::service {
@@ -107,11 +98,11 @@ struct ServerStatus {
 };
 
 /// The daemon; see file comment.
-class Server {
+class Server : private Backend {
  public:
   explicit Server(ServerOptions options);
   /// Initiates shutdown and waits for the drain if still running.
-  ~Server();
+  ~Server() override;
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
@@ -125,28 +116,29 @@ class Server {
   void shutdown();
 
   /// Blocks until a drain completes (shutdown() here or via a request),
-  /// then reaps reader threads and stops the pool.
+  /// then stops the pool and reaps reader threads.
   void wait();
 
   /// Port the TCP listener actually bound (0 when TCP is off); useful
   /// with an ephemeral `tcp_port = 0`.
-  [[nodiscard]] int tcp_port() const { return tcp_port_; }
+  [[nodiscard]] int tcp_port() const { return frontend_.tcp_port(); }
 
   [[nodiscard]] ServerStatus status() const;
 
  private:
-  struct Connection;
+  // Backend
+  void dispatch(Connection& conn, Request&& req,
+                const std::string& line) override;
+  void cancel(Connection& conn, const Request& req) override;
+  void on_disconnect(Connection& conn) override;
+  [[nodiscard]] JsonValue status_json() const override;
+  void after_drain() override;
 
-  void accept_loop(int listen_fd);
-  void reap_finished_locked();  // requires conns_mu_ held
-  void reader_loop(Connection* conn);
-  void handle_line(Connection* conn, const std::string& line);
-  void run_job(Connection* conn, const Request& req,
+  void run_job(Connection& conn, const Request& req,
                const exec::CancellationToken& parent);
-  void respond(Connection* conn, std::string line, bool ok);
 
   // Request handlers (worker threads). Each returns the "result" object
-  // or throws ProtocolError / buffy errors mapped by run_job.
+  // or throws; run_job maps the exception to the error response.
   [[nodiscard]] JsonValue handle_analyze(const Request& req,
                                          const exec::CancellationToken& tok);
   [[nodiscard]] JsonValue handle_explore(const Request& req,
@@ -158,43 +150,11 @@ class Server {
   std::unique_ptr<exec::ThreadPool> pool_;
   CacheRegistry registry_;
   exec::Progress progress_;
-  std::chrono::steady_clock::time_point started_at_;
+  Frontend frontend_;
 
-  int unix_fd_ = -1;
-  int tcp_fd_ = -1;
-  int tcp_port_ = 0;
-  std::vector<std::thread> accept_threads_;
-
-  mutable std::mutex conns_mu_;
-  std::vector<std::unique_ptr<Connection>> conns_;
-
-  std::atomic<bool> started_{false};
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> reaped_{false};
-
-  // Jobs in the system (admission control + drain barrier).
-  mutable std::mutex jobs_mu_;
-  std::condition_variable jobs_cv_;
-  u64 jobs_in_system_ = 0;   // guarded by jobs_mu_
-  u64 inline_shutdowns_ = 0;  // shutdown handlers awaiting their response,
-                              // guarded by jobs_mu_ (see handle_line)
-
-  // Counters (relaxed; metrics only).
-  std::atomic<u64> requests_total_{0};
-  std::atomic<u64> analyze_requests_{0};
-  std::atomic<u64> explore_requests_{0};
-  std::atomic<u64> slice_requests_{0};
-  std::atomic<u64> status_requests_{0};
-  std::atomic<u64> cancel_requests_{0};
-  std::atomic<u64> shutdown_requests_{0};
-  std::atomic<u64> responses_ok_{0};
-  std::atomic<u64> responses_error_{0};
-  std::atomic<u64> overloaded_{0};
-  std::atomic<u64> shutting_down_rejections_{0};
+  // Pool gauges (relaxed; metrics only).
   std::atomic<u64> jobs_queued_{0};
   std::atomic<u64> jobs_running_{0};
-  std::atomic<u64> connections_accepted_{0};
-  std::atomic<u64> connections_open_{0};
 };
 
 }  // namespace buffy::service

@@ -294,8 +294,6 @@ void LaneThroughputSolver::run_batch(
     }
   };
   const auto report_candidate = [&](std::size_t l) {
-    max_table_bytes_ =
-        std::max(max_table_bytes_, tables_[l].footprint_bytes());
     if (trace::enabled()) {
       i64 size = 0;
       for (const i64 cap : candidates[candidate_[l]]) size += cap;
@@ -451,14 +449,6 @@ void LaneThroughputSolver::run_batch(
       refill(l);
     }
   }
-}
-
-std::size_t LaneThroughputSolver::table_bytes() const {
-  std::size_t result = max_table_bytes_;
-  for (const VisitedTable& t : tables_) {
-    result = std::max(result, t.footprint_bytes());
-  }
-  return result;
 }
 
 }  // namespace buffy::state

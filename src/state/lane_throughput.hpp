@@ -100,9 +100,6 @@ class LaneThroughputSolver {
   /// within_certificate batches skip the dynamic capacity gate).
   [[nodiscard]] bool static_narrow() const { return static_narrow_; }
 
-  /// Peak visited-table footprint across all lanes and batches.
-  [[nodiscard]] std::size_t table_bytes() const;
-
  private:
   /// SoA lane state at one lane width (rows of stride_ words of T; see
   /// LaneKernelViewT). The solver keeps two sets: the full-range i64
@@ -164,7 +161,6 @@ class LaneThroughputSolver {
   std::vector<u64> steps_;
   std::vector<std::size_t> candidate_;
   std::vector<VisitedTable> tables_;
-  std::size_t max_table_bytes_ = 0;
 };
 
 /// Slot-indexed bank of lane solvers for a parallel exploration — the
@@ -195,18 +191,6 @@ class LaneSolverBank {
 
   [[nodiscard]] std::size_t num_slots() const { return slots_.size(); }
   [[nodiscard]] std::size_t lanes() const { return lanes_; }
-
-  /// Peak visited-table footprint across every solver built so far; call
-  /// only while no worker is simulating.
-  [[nodiscard]] std::size_t max_table_bytes() const {
-    std::size_t result = 0;
-    for (const Slot& s : slots_) {
-      if (s.solver != nullptr) {
-        result = std::max(result, s.solver->table_bytes());
-      }
-    }
-    return result;
-  }
 
  private:
   struct alignas(64) Slot {

@@ -27,17 +27,6 @@ i64 Capacities::capacity(std::size_t channel) const {
   return caps_[channel];
 }
 
-void Capacities::set_unbounded(std::size_t channel) {
-  BUFFY_REQUIRE(channel < caps_.size(), "channel index out of range");
-  caps_[channel] = kUnbounded;
-}
-
-void Capacities::set_capacity(std::size_t channel, i64 capacity) {
-  BUFFY_REQUIRE(channel < caps_.size(), "channel index out of range");
-  BUFFY_REQUIRE(capacity >= 0, "channel capacities must be >= 0");
-  caps_[channel] = capacity;
-}
-
 TimedState::TimedState(std::span<const i64> clocks, std::span<const i64> tokens)
     : num_actors_(clocks.size()) {
   words_.reserve(clocks.size() + tokens.size());

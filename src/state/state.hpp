@@ -29,10 +29,6 @@ class Capacities {
   /// Capacity of a bounded channel.
   [[nodiscard]] i64 capacity(std::size_t channel) const;
 
-  /// Marks one channel unbounded / bounded.
-  void set_unbounded(std::size_t channel);
-  void set_capacity(std::size_t channel, i64 capacity);
-
  private:
   static constexpr i64 kUnbounded = -1;
   explicit Capacities(std::vector<i64> caps) : caps_(std::move(caps)) {}

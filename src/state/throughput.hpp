@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -99,7 +98,7 @@ struct ThroughputResult {
 /// solver across the runs of a design-space exploration keeps the hot path
 /// allocation-free in steady state — the engine is reconfigure()d instead
 /// of rebuilt and the visited arena is recycled instead of reallocated.
-/// Not thread-safe; use one solver per worker (ThroughputSolverPool).
+/// Not thread-safe; use one solver per worker (WorkerSolvers).
 class ThroughputSolver {
  public:
   /// The graph must outlive the solver.
@@ -130,32 +129,10 @@ class ThroughputSolver {
   VisitedTable table_;
 };
 
-/// A mutex-guarded free list of solvers over one graph, shared by the
-/// workers of a parallel exploration. acquire()/release() cost one lock
-/// each — noise next to the full state-space simulation in between — and
-/// returned solvers keep their warmed-up arenas for the next run.
-class ThroughputSolverPool {
- public:
-  explicit ThroughputSolverPool(const sdf::Graph& graph) : graph_(graph) {}
-
-  [[nodiscard]] std::unique_ptr<ThroughputSolver> acquire();
-  void release(std::unique_ptr<ThroughputSolver> solver);
-
-  /// Peak visited-table footprint over every solver ever released.
-  [[nodiscard]] std::size_t max_table_bytes() const;
-
- private:
-  const sdf::Graph& graph_;
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<ThroughputSolver>> free_;
-  std::size_t max_table_bytes_ = 0;
-};
-
 /// Slot-indexed solver bank for a parallel exploration: one lazily built
 /// ThroughputSolver per exec::ThreadPool slot (workers plus the caller),
-/// each used exclusively by the thread occupying that slot. Unlike
-/// ThroughputSolverPool there is no lock on the per-candidate path — a
-/// worker keeps the same solver (engine + warmed visited arena) for the
+/// each used exclusively by the thread occupying that slot. There is no
+/// lock on the per-candidate path — a worker keeps the same solver (engine + warmed visited arena) for the
 /// whole exploration, which is what makes engine state thread-affine.
 /// Slots are padded to cache lines so neighbouring workers' slots never
 /// false-share. Construction is cheap; a solver is built the first time
@@ -180,18 +157,6 @@ class WorkerSolvers {
 
   [[nodiscard]] std::size_t num_slots() const { return slots_.size(); }
 
-  /// Peak visited-table footprint across every solver built so far. Call
-  /// only while no worker is simulating (e.g. after a wave barrier).
-  [[nodiscard]] std::size_t max_table_bytes() const {
-    std::size_t result = 0;
-    for (const Slot& s : slots_) {
-      if (s.solver != nullptr) {
-        result = std::max(result, s.solver->table_bytes());
-      }
-    }
-    return result;
-  }
-
  private:
   /// Cache-line isolation between adjacent slots: each worker mutates its
   /// own unique_ptr and the solver behind it every candidate.
@@ -201,26 +166,6 @@ class WorkerSolvers {
 
   const sdf::Graph& graph_;
   std::vector<Slot> slots_;
-};
-
-/// Convenience RAII lease: acquires on construction, releases on scope
-/// exit. A null pool yields a null solver — the caller's signal to fall
-/// back to one-shot compute_throughput (the engine-per-run legacy path).
-class PooledSolver {
- public:
-  explicit PooledSolver(ThroughputSolverPool* pool)
-      : pool_(pool), solver_(pool != nullptr ? pool->acquire() : nullptr) {}
-  ~PooledSolver() {
-    if (pool_ != nullptr) pool_->release(std::move(solver_));
-  }
-  PooledSolver(const PooledSolver&) = delete;
-  PooledSolver& operator=(const PooledSolver&) = delete;
-
-  [[nodiscard]] ThroughputSolver* get() { return solver_.get(); }
-
- private:
-  ThroughputSolverPool* pool_;
-  std::unique_ptr<ThroughputSolver> solver_;
 };
 
 /// One-shot form: builds a fresh solver per call (the pre-reuse code path,
