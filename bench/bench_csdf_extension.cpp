@@ -11,7 +11,7 @@
 #include "buffer/dse.hpp"
 #include "csdf/analysis.hpp"
 #include "csdf/dse.hpp"
-#include "csdf/graph.hpp"
+#include "sdf/csdf_graph.hpp"
 #include "models/models.hpp"
 #include "report_util.hpp"
 #include "sdf/builder.hpp"

@@ -14,7 +14,7 @@
 #include "buffer/dse.hpp"
 #include "csdf/analysis.hpp"
 #include "csdf/dse.hpp"
-#include "csdf/graph.hpp"
+#include "sdf/csdf_graph.hpp"
 #include "io/csdf_io.hpp"
 #include "sdf/builder.hpp"
 

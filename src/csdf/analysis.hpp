@@ -8,7 +8,7 @@
 
 #include <vector>
 
-#include "csdf/graph.hpp"
+#include "sdf/csdf_graph.hpp"
 
 namespace buffy::csdf {
 

@@ -7,8 +7,7 @@
 #include "base/diagnostics.hpp"
 #include "buffer/dse.hpp"
 #include "csdf/analysis.hpp"
-#include "csdf/engine.hpp"
-#include "csdf/throughput.hpp"
+#include "state/throughput.hpp"
 
 namespace buffy::csdf {
 
@@ -19,39 +18,18 @@ i64 self_loop_extra(const Channel& ch) {
   return ch.is_self_loop() ? ch.max_production() : 0;
 }
 
-// Storage dependencies of one bounded run (deadlock state, or the union
-// over one period of the cycle).
-std::vector<ChannelId> storage_dependencies(const Graph& graph,
-                                            const state::Capacities& caps,
-                                            i64 cycle_start, i64 period) {
-  Engine engine(graph, caps);
-  engine.reset();
-  std::vector<bool> blocked(graph.num_channels(), false);
-  auto absorb = [&]() {
-    for (const ChannelId c : engine.space_blocked_channels()) {
-      blocked[c.index()] = true;
-    }
-  };
-  if (period == 0) {
-    // Deadlocked execution: union over the whole run.
-    absorb();
-    while (engine.advance()) absorb();
-    absorb();
-  } else {
-    while (engine.now() < cycle_start) {
-      BUFFY_ASSERT(engine.advance(), "deadlock before the reported cycle");
-    }
-    absorb();
-    while (engine.now() < cycle_start + period) {
-      BUFFY_ASSERT(engine.advance(), "deadlock inside the reported cycle");
-      absorb();
-    }
-  }
-  std::vector<ChannelId> result;
-  for (std::size_t c = 0; c < blocked.size(); ++c) {
-    if (blocked[c]) result.emplace_back(c);
-  }
-  return result;
+// One simulation per candidate: the storage dependencies (the union over
+// the periodic phase, or over the whole run on deadlock) are collected by
+// the same run that measures the throughput.
+state::ThroughputResult run(state::ThroughputSolver& solver,
+                            const std::vector<i64>& caps, ActorId target,
+                            u64 max_steps) {
+  return solver.compute(state::Capacities::bounded(caps),
+                        state::ThroughputOptions{
+                            .target = target,
+                            .max_steps = max_steps,
+                            .collect_storage_deps = true,
+                        });
 }
 
 // Maximal throughput over all finite distributions: grow every capacity
@@ -63,39 +41,34 @@ struct MaxTputOutcome {
   Rational value;
 };
 
-MaxTputOutcome maximal_throughput(const Graph& graph,
+MaxTputOutcome maximal_throughput(state::ThroughputSolver& solver,
                                   const std::vector<i64>& floors,
                                   ActorId target, u64 max_steps) {
   std::vector<i64> caps = floors;
-  for (i64& c : caps) c = std::max<i64>(c * 2, c + 4);
+  for (i64& c : caps) c = std::max(checked_mul(c, 2), checked_add(c, 4));
   MaxTputOutcome out;
   int plateau = 0;
   for (int round = 0; round < 24; ++round) {
-    const auto run = compute_throughput(
-        graph, state::Capacities::bounded(caps), target, max_steps);
-    const auto deps = storage_dependencies(
-        graph, state::Capacities::bounded(caps),
-        run.deadlocked ? 0 : run.cycle_start_time,
-        run.deadlocked ? 0 : run.period);
-    if (run.deadlocked && deps.empty()) {
+    const auto r = run(solver, caps, target, max_steps);
+    if (r.deadlocked && r.storage_deps.empty()) {
       // Stuck with no firing waiting for space: the deadlock is structural
       // and no finite (or infinite) buffering can resolve it.
       out.deadlock = true;
       return out;
     }
-    if (!run.deadlocked && deps.empty()) {
+    if (!r.deadlocked && r.storage_deps.empty()) {
       // No firing is ever delayed by space: larger buffers change nothing.
-      out.value = run.throughput;
+      out.value = r.throughput;
       return out;
     }
-    if (!run.deadlocked) {
+    if (!r.deadlocked) {
       // Sources that outpace their consumers stay space-blocked at every
       // finite capacity, so the dependency test above never fires; detect
       // convergence through the (monotone) throughput plateauing instead.
-      if (run.throughput == out.value) {
+      if (r.throughput == out.value) {
         if (++plateau >= 2) return out;
       } else {
-        out.value = run.throughput;
+        out.value = r.throughput;
         plateau = 0;
       }
     }
@@ -107,7 +80,7 @@ MaxTputOutcome maximal_throughput(const Graph& graph,
 }  // namespace
 
 i64 channel_floor(const Channel& channel) {
-  return std::max(channel.initial_tokens + self_loop_extra(channel),
+  return std::max(checked_add(channel.initial_tokens, self_loop_extra(channel)),
                   channel.max_production());
 }
 
@@ -125,10 +98,13 @@ DseResult explore(const Graph& graph, const DseOptions& options) {
   }
   result.floors = buffer::StorageDistribution(floors);
 
+  // One solver (engine + visited arena) serves every run of the search.
+  state::ThroughputSolver solver(graph);
+
   // Establish the maximal throughput; a deadlock that survives arbitrarily
   // large buffers is structural.
   const MaxTputOutcome max = maximal_throughput(
-      graph, floors, options.target, options.max_steps_per_run);
+      solver, floors, options.target, options.max_steps_per_run);
   if (max.deadlock) {
     result.deadlock = true;
     return result;
@@ -153,27 +129,22 @@ DseResult explore(const Graph& graph, const DseOptions& options) {
     if (++result.distributions_explored > options.max_distributions) {
       throw Error("CSDF DSE exceeded max_distributions");
     }
-    const state::Capacities capacities = state::Capacities::bounded(caps);
-    const auto run = compute_throughput(graph, capacities, options.target,
-                                        options.max_steps_per_run);
+    const auto r =
+        run(solver, caps, options.target, options.max_steps_per_run);
     result.max_states_stored =
-        std::max(result.max_states_stored, run.states_stored);
+        std::max(result.max_states_stored, r.states_stored);
     const Rational quantized =
-        buffer::quantize_down(run.throughput, options.quantization);
+        buffer::quantize_down(r.throughput, options.quantization);
     if (quantized > best_seen) {
       result.pareto.add(
           buffer::ParetoPoint{buffer::StorageDistribution(caps), quantized});
       best_seen = quantized;
     }
-    if (!run.throughput.is_zero() &&
-        run.throughput >= result.max_throughput) {
+    if (!r.throughput.is_zero() && r.throughput >= result.max_throughput) {
       break;  // size-ordered pop: the front is complete
     }
-    const auto deps = storage_dependencies(graph, capacities,
-                                           run.cycle_start_time,
-                                           run.deadlocked ? 0 : run.period);
     // An empty set means larger buffers change nothing: branch exhausted.
-    for (const ChannelId c : deps) {
+    for (const ChannelId c : r.storage_deps) {
       buffer::StorageDistribution child =
           buffer::StorageDistribution(caps).with(c.index(),
                                                  caps[c.index()] + 1);

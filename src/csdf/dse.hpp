@@ -13,7 +13,7 @@
 
 #include "base/rational.hpp"
 #include "buffer/pareto.hpp"
-#include "csdf/graph.hpp"
+#include "sdf/csdf_graph.hpp"
 
 namespace buffy::csdf {
 

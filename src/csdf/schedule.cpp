@@ -5,44 +5,19 @@
 
 #include "base/diagnostics.hpp"
 #include "base/string_util.hpp"
-#include "csdf/engine.hpp"
-#include "csdf/throughput.hpp"
+#include "state/throughput.hpp"
 
 namespace buffy::csdf {
 
 ExtractedSchedule extract_schedule(const Graph& graph,
                                    const state::Capacities& capacities,
                                    ActorId target, u64 max_steps) {
-  // First locate the cycle, then re-run with a recorder (the throughput
-  // helper does not expose one for CSDF).
-  const auto run = compute_throughput(graph, capacities, target, max_steps);
-
   state::FiringRecorder recorder;
-  Engine engine(graph, capacities);
-  engine.set_recorder(&recorder);
-  engine.reset();
-  const i64 end_time =
-      run.deadlocked ? run.time_steps : run.cycle_start_time + run.period;
-  while (engine.now() < end_time && engine.advance()) {
-  }
-
-  std::vector<sched::Schedule::ActorStarts> starts(graph.num_actors());
-  const i64 cycle_start = run.deadlocked ? 0 : run.cycle_start_time;
-  const i64 cycle_end = cycle_start + run.period;
-  for (const state::Firing& f : recorder.firings()) {
-    sched::Schedule::ActorStarts& a = starts[f.actor.index()];
-    if (run.deadlocked || f.start < cycle_start) {
-      a.transient.push_back(f.start);
-    } else if (f.start < cycle_end) {
-      a.periodic.push_back(f.start);
-    }
-  }
-  return ExtractedSchedule{
-      .schedule = sched::Schedule(std::move(starts), cycle_start,
-                                  run.deadlocked ? 0 : run.period),
-      .throughput = run.throughput,
-      .deadlocked = run.deadlocked,
-  };
+  const auto run = state::compute_throughput(
+      graph, capacities,
+      state::ThroughputOptions{
+          .target = target, .max_steps = max_steps, .recorder = &recorder});
+  return sched::schedule_of_run(graph.num_actors(), recorder, run);
 }
 
 std::string render_gantt(const Graph& graph, const sched::Schedule& schedule,

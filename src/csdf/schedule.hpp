@@ -1,25 +1,20 @@
 // Schedule extraction and rendering for CSDF graphs.
 //
-// The extracted object is the same sched::Schedule used for SDF (actor ids
-// plus start times with a transient/periodic split); only the rendering
-// differs, because a CSDF firing's duration depends on its phase.
+// The extracted object is the same sched::ExtractedSchedule used for SDF
+// (actor ids plus start times with a transient/periodic split); only the
+// rendering differs, because a CSDF firing's duration depends on its phase.
 #pragma once
 
 #include <string>
 
-#include "base/rational.hpp"
-#include "csdf/graph.hpp"
+#include "sched/extract.hpp"
 #include "sched/schedule.hpp"
+#include "sdf/csdf_graph.hpp"
 #include "state/state.hpp"
 
 namespace buffy::csdf {
 
-/// A CSDF schedule with the throughput it realises.
-struct ExtractedSchedule {
-  sched::Schedule schedule;
-  Rational throughput;
-  bool deadlocked = false;
-};
+using ExtractedSchedule = sched::ExtractedSchedule;
 
 /// Runs self-timed execution under the capacities until the periodic phase
 /// closes (or deadlock) and returns sigma.

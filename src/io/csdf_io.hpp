@@ -11,7 +11,7 @@
 
 #include <string>
 
-#include "csdf/graph.hpp"
+#include "sdf/csdf_graph.hpp"
 
 namespace buffy::io {
 

@@ -1,6 +1,5 @@
 #include "sched/extract.hpp"
 
-#include "base/diagnostics.hpp"
 #include "state/throughput.hpp"
 
 namespace buffy::sched {
@@ -9,11 +8,17 @@ ExtractedSchedule extract_schedule(const sdf::Graph& graph,
                                    const state::Capacities& caps,
                                    sdf::ActorId target, u64 max_steps) {
   state::FiringRecorder recorder;
-  state::ThroughputOptions opts{.target = target, .max_steps = max_steps};
-  opts.recorder = &recorder;
-  const auto run = state::compute_throughput(graph, caps, opts);
+  const auto run = state::compute_throughput(
+      graph, caps,
+      state::ThroughputOptions{
+          .target = target, .max_steps = max_steps, .recorder = &recorder});
+  return schedule_of_run(graph.num_actors(), recorder, run);
+}
 
-  std::vector<Schedule::ActorStarts> starts(graph.num_actors());
+ExtractedSchedule schedule_of_run(std::size_t num_actors,
+                                  const state::FiringRecorder& recorder,
+                                  const state::ThroughputResult& run) {
+  std::vector<Schedule::ActorStarts> starts(num_actors);
   const i64 cycle_start = run.deadlocked ? 0 : run.cycle_start_time;
   const i64 cycle_end = cycle_start + run.period;
   for (const state::Firing& f : recorder.firings()) {
@@ -27,13 +32,12 @@ ExtractedSchedule extract_schedule(const sdf::Graph& graph,
     // closes the cycle, which can lie after later starts) are duplicates of
     // periodic behaviour and are dropped.
   }
-  ExtractedSchedule out{
+  return ExtractedSchedule{
       .schedule = Schedule(std::move(starts), cycle_start,
                            run.deadlocked ? 0 : run.period),
       .throughput = run.throughput,
       .deadlocked = run.deadlocked,
   };
-  return out;
 }
 
 }  // namespace buffy::sched

@@ -7,6 +7,11 @@
 #include "sched/schedule.hpp"
 #include "sdf/graph.hpp"
 #include "state/state.hpp"
+#include "state/trace.hpp"
+
+namespace buffy::state {
+struct ThroughputResult;
+}  // namespace buffy::state
 
 namespace buffy::sched {
 
@@ -26,5 +31,13 @@ struct ExtractedSchedule {
                                                  const state::Capacities& caps,
                                                  sdf::ActorId target,
                                                  u64 max_steps = 100'000'000);
+
+/// The schedule of a run whose firing starts were recorded (through
+/// ThroughputOptions::recorder): starts before the cycle are transient,
+/// starts within one period from the cycle start are periodic, later ones
+/// are dropped; a deadlocked run yields a finite schedule of all starts.
+[[nodiscard]] ExtractedSchedule schedule_of_run(
+    std::size_t num_actors, const state::FiringRecorder& recorder,
+    const state::ThroughputResult& run);
 
 }  // namespace buffy::sched

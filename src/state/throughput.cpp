@@ -4,6 +4,7 @@
 
 #include "base/audit.hpp"
 #include "base/diagnostics.hpp"
+#include "sdf/csdf_graph.hpp"
 #include "trace/trace.hpp"
 
 namespace buffy::state {
@@ -11,11 +12,14 @@ namespace buffy::state {
 ThroughputSolver::ThroughputSolver(const sdf::Graph& graph)
     : engine_(graph, Capacities::unbounded(graph.num_channels())) {}
 
+ThroughputSolver::ThroughputSolver(const csdf::Graph& graph)
+    : engine_(graph, Capacities::unbounded(graph.num_channels())) {}
+
 ThroughputResult ThroughputSolver::compute(const Capacities& capacities,
                                            const ThroughputOptions& opts) {
-  const sdf::Graph& graph = engine_.graph();
-  BUFFY_REQUIRE(opts.target.valid() && opts.target.index() < graph.num_actors(),
-                "throughput target actor is not part of the graph");
+  BUFFY_REQUIRE(
+      opts.target.valid() && opts.target.index() < engine_.num_actors(),
+      "throughput target actor is not part of the graph");
   // reconfigure() and set_binding() both reset; attach the recorder only
   // for the reset that establishes the run's actual start state, so the
   // time-0 starts are recorded exactly once. Space-block tracking must be
@@ -46,12 +50,12 @@ ThroughputResult ThroughputSolver::compute(const Capacities& capacities,
 
   ThroughputResult result;
 
-  // One record per stored reduced state: [clocks | tokens | dist]. The
+  // One record per stored reduced state: [clocks | tokens | dist], with
+  // the phases between clocks and tokens for a multi-phase graph. The
   // paper's full reduced key includes the d_a dimension (time since the
   // previous completion of the target) — see Fig. 4, where (1,0,1,2,2,9)
   // and (1,0,1,2,2,7) are distinct states.
-  const std::size_t state_words =
-      graph.num_actors() + graph.num_channels();
+  const std::size_t state_words = engine_.state_words();
   table_.reset(state_words + 1);
 
   // The engine records the latest space-blocked instant per channel during
@@ -163,11 +167,19 @@ ThroughputResult ThroughputSolver::compute(const Capacities& capacities,
   }
   report_states();
   throw Error("throughput computation exceeded max_steps = " +
-              std::to_string(opts.max_steps) + " on graph '" + graph.name() +
+              std::to_string(opts.max_steps) + " on graph '" +
+              engine_.graph_name() +
               "' (unbounded token growth or a bound set too low)");
 }
 
 ThroughputResult compute_throughput(const sdf::Graph& graph,
+                                    const Capacities& capacities,
+                                    const ThroughputOptions& opts) {
+  ThroughputSolver solver(graph);
+  return solver.compute(capacities, opts);
+}
+
+ThroughputResult compute_throughput(const csdf::Graph& graph,
                                     const Capacities& capacities,
                                     const ThroughputOptions& opts) {
   ThroughputSolver solver(graph);

@@ -1,7 +1,7 @@
 // Tests for the CSDF extension (the paper's future-work direction): graph
 // validation, repetition vectors, the phase-aware engine, throughput, DSE,
-// and the differential oracle against the SDF engine (SDF is one-phase
-// CSDF, so both engines must agree exactly).
+// and the differential oracle between the engine's SDF and CSDF
+// flattenings (SDF is one-phase CSDF, so both must agree exactly).
 #include <gtest/gtest.h>
 
 #include "analysis/repetition_vector.hpp"
@@ -9,12 +9,12 @@
 #include "buffer/dse.hpp"
 #include "csdf/analysis.hpp"
 #include "csdf/dse.hpp"
-#include "csdf/engine.hpp"
-#include "csdf/graph.hpp"
-#include "csdf/throughput.hpp"
 #include "gen/random_graph.hpp"
+#include "io/csdf_io.hpp"
 #include "models/models.hpp"
 #include "sdf/builder.hpp"
+#include "sdf/csdf_graph.hpp"
+#include "state/engine.hpp"
 #include "state/throughput.hpp"
 
 namespace buffy::csdf {
@@ -116,7 +116,7 @@ TEST(CsdfAnalysis, FromSdfMatchesSdfRepetitionVector) {
 
 TEST(CsdfEngine, PhasesAdvanceCyclically) {
   const Graph g = distributor();
-  Engine e(g, state::Capacities::unbounded(2));
+  state::Engine e(g, state::Capacities::unbounded(2));
   e.reset();
   const auto a = *g.find_actor("a");
   EXPECT_EQ(e.phase(a), 0);
@@ -138,7 +138,7 @@ TEST(CsdfEngine, ZeroRatePhaseClaimsNothing) {
                         .production = {1, 0},
                         .consumption = {1}});
   validate(g);
-  Engine e(g, state::Capacities::bounded({1}));
+  state::Engine e(g, state::Capacities::bounded({1}));
   e.reset();
   e.advance();  // a fires phase 0, fills ab; b starts
   EXPECT_EQ(e.phase(*g.find_actor("a")), 1);
@@ -150,8 +150,10 @@ TEST(CsdfThroughput, DistributorUnbounded) {
   const Graph g = distributor();
   // a cycles every 3 steps unthrottled; c gets one token per cycle but
   // takes 3 steps, so everything settles at one firing per 3 steps.
-  const auto r = compute_throughput(g, state::Capacities::unbounded(2),
-                                    *g.find_actor("c"), 100000);
+  const auto r = state::compute_throughput(
+      g, state::Capacities::unbounded(2),
+      state::ThroughputOptions{.target = *g.find_actor("c"),
+                               .max_steps = 100000});
   EXPECT_FALSE(r.deadlocked);
   EXPECT_EQ(r.throughput, Rational(1, 3));
 }
@@ -166,8 +168,9 @@ TEST(CsdfThroughput, DeadlockOnTightBuffers) {
                         .production = {2},
                         .consumption = {3}});
   validate(g);
-  const auto r = compute_throughput(g, state::Capacities::bounded({3}), b,
-                                    100000);
+  const auto r = state::compute_throughput(
+      g, state::Capacities::bounded({3}),
+      state::ThroughputOptions{.target = b, .max_steps = 100000});
   EXPECT_TRUE(r.deadlocked);
   EXPECT_EQ(r.throughput, Rational(0));
 }
@@ -232,8 +235,34 @@ TEST(CsdfDse, CyclostaticRefinementNeedsSmallerBuffers) {
             coarse_dse.pareto.points().back().size());
 }
 
-// Differential oracle: on random SDF graphs, the CSDF engine via from_sdf
-// must reproduce the SDF engine's throughput for the same capacities.
+TEST(CsdfDse, SelfLoopFloorOverflowIsReported) {
+  // initial_tokens + the self-loop's claim does not fit in i64; the floor
+  // must say so instead of wrapping into a negative capacity.
+  const Graph g = io::read_csdf_dsl(
+      "graph selfloop\n"
+      "actor a 1\n"
+      "channel aa a 1 a 1 tokens 9223372036854775807\n");
+  EXPECT_THROW((void)channel_floor(g.channel(ChannelId(0))), OverflowError);
+  EXPECT_THROW((void)explore(g, DseOptions{.target = ActorId(0)}),
+               OverflowError);
+}
+
+TEST(CsdfDse, MaxThroughputSearchOverflowIsReported) {
+  // The back edge's floor is 2^62: doubling it for the maximal-throughput
+  // search leaves i64.
+  const Graph g = io::read_csdf_dsl(
+      "graph backedge\n"
+      "actor a 1\n"
+      "actor b 1\n"
+      "channel ab a 1 b 1\n"
+      "channel ba b 1 a 1 tokens 4611686018427387904\n");
+  EXPECT_THROW((void)explore(g, DseOptions{.target = ActorId(1)}),
+               OverflowError);
+}
+
+// Differential oracle: on random SDF graphs, the engine built from the
+// from_sdf embedding must reproduce the throughput of the engine built
+// from the SDF graph for the same capacities.
 class CsdfSdfEquivalence : public ::testing::TestWithParam<u64> {};
 
 TEST_P(CsdfSdfEquivalence, ThroughputsAgree) {
@@ -248,8 +277,9 @@ TEST_P(CsdfSdfEquivalence, ThroughputsAgree) {
   const sdf::ActorId target(s.num_actors() - 1);
   for (int round = 0; round < 3; ++round) {
     const auto sdf_run = state::compute_throughput(s, caps, target);
-    const auto csdf_run = compute_throughput(
-        g, state::Capacities::bounded(caps), target, 100'000'000);
+    const auto csdf_run = state::compute_throughput(
+        g, state::Capacities::bounded(caps),
+        state::ThroughputOptions{.target = target, .max_steps = 100'000'000});
     EXPECT_EQ(sdf_run.deadlocked, csdf_run.deadlocked)
         << "seed " << GetParam() << " round " << round;
     EXPECT_EQ(sdf_run.throughput, csdf_run.throughput)

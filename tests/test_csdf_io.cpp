@@ -6,7 +6,7 @@
 
 #include "base/diagnostics.hpp"
 #include "csdf/analysis.hpp"
-#include "csdf/graph.hpp"
+#include "sdf/csdf_graph.hpp"
 #include "gen/random_graph.hpp"
 #include "models/models.hpp"
 

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "csdf/graph.hpp"
+#include "sdf/csdf_graph.hpp"
 #include "models/models.hpp"
 
 namespace buffy::csdf {
