@@ -66,11 +66,4 @@ class TimedState {
   std::size_t num_actors_ = 0;
 };
 
-/// Hasher for unordered containers keyed on TimedState.
-struct TimedStateHash {
-  std::size_t operator()(const TimedState& s) const noexcept {
-    return static_cast<std::size_t>(s.hash());
-  }
-};
-
 }  // namespace buffy::state

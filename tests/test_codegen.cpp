@@ -7,7 +7,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "analysis/bounds.hpp"
 #include "base/diagnostics.hpp"
 #include "models/models.hpp"
 
@@ -69,111 +68,6 @@ TEST(Codegen, WritesFile) {
 TEST(Codegen, InvalidTargetThrows) {
   EXPECT_THROW(
       (void)generate_explorer_source(models::paper_example(), sdf::ActorId(9)),
-      Error);
-}
-
-std::string vectorized_example_source(std::size_t lanes) {
-  const sdf::Graph g = models::paper_example();
-  return generate_vectorized_explorer_source(g, *g.find_actor("c"), lanes);
-}
-
-TEST(CodegenVectorized, BakesLaneCountAndSoaRows) {
-  const std::string src = vectorized_example_source(8);
-  EXPECT_NE(src.find("constexpr int kLanes = 8"), std::string::npos);
-  for (const char* row :
-       {"laneClk[kActors][kLanes]", "laneCh[kChannels][kLanes]",
-        "laneOcc[kChannels][kLanes]", "laneSz[kChannels][kLanes]"}) {
-    EXPECT_NE(src.find(row), std::string::npos) << row;
-  }
-}
-
-TEST(CodegenVectorized, UnrollsConstantFoldedRates) {
-  const std::string src = vectorized_example_source(8);
-  // Actor b consumes 3 from channel 0: token check + masked consume.
-  EXPECT_NE(src.find("laneCh[0][l] >= 3"), std::string::npos);
-  EXPECT_NE(src.find("const lane d = 3 & laneCm[l]"), std::string::npos);
-  // Actor a claims 2 on channel 0 at start.
-  EXPECT_NE(src.find("laneOcc[0][l] + 2 <= laneSz[0][l]"), std::string::npos);
-  // Masked retirement machinery is present.
-  EXPECT_NE(src.find("targetBits"), std::string::npos);
-  EXPECT_NE(src.find("installLane"), std::string::npos);
-}
-
-TEST(CodegenVectorized, LaneCountOutOfRangeThrows) {
-  const sdf::Graph g = models::paper_example();
-  EXPECT_THROW((void)generate_vectorized_explorer_source(
-                   g, *g.find_actor("c"), 0),
-               Error);
-  EXPECT_THROW((void)generate_vectorized_explorer_source(
-                   g, *g.find_actor("c"), 65),
-               Error);
-}
-
-TEST(CodegenVectorized, WritesFile) {
-  const std::string path = ::testing::TempDir() + "/buffy_gen_vec.cpp";
-  const sdf::Graph g = models::paper_example();
-  write_vectorized_explorer_source(g, *g.find_actor("c"), 8, path);
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  EXPECT_EQ(buffer.str(), vectorized_example_source(8));
-}
-
-TEST(CodegenCertified, CheckedSourceCarriesGuardsAndBudget) {
-  const sdf::Graph g = models::paper_example();
-  const analysis::BoundsCertificate cert = analysis::derive_bounds(g);
-  ASSERT_TRUE(cert.fits_i64);
-  const std::string src =
-      generate_checked_explorer_source(g, *g.find_actor("c"), cert);
-  for (const char* marker :
-       {"chkAdd", "chkSub", "overflowAbort", "kCapBudget", "doubleClamped"}) {
-    EXPECT_NE(src.find(marker), std::string::npos) << marker;
-  }
-}
-
-TEST(CodegenCertified, NarrowSourceIsThirtyTwoBitAndCheckFree) {
-  const sdf::Graph g = models::paper_example();
-  const analysis::BoundsCertificate cert = analysis::derive_bounds(g);
-  const std::string src =
-      generate_narrow_explorer_source(g, *g.find_actor("c"), 8, cert);
-  EXPECT_NE(src.find("using lane = std::int32_t"), std::string::npos);
-  EXPECT_NE(src.find("kCapBudget"), std::string::npos);
-  EXPECT_NE(src.find("lane{1} << 30"), std::string::npos);
-  // The whole point: no runtime overflow machinery in the narrow program.
-  EXPECT_EQ(src.find("overflowAbort"), std::string::npos);
-  EXPECT_EQ(src.find("chkAdd"), std::string::npos);
-}
-
-TEST(CodegenCertified, MismatchedCertificateThrows) {
-  const sdf::Graph g = models::paper_example();
-  const analysis::BoundsCertificate other =
-      analysis::derive_bounds(models::modem());
-  EXPECT_THROW((void)generate_checked_explorer_source(g, *g.find_actor("c"),
-                                                      other),
-               Error);
-  EXPECT_THROW(
-      (void)generate_narrow_explorer_source(g, *g.find_actor("c"), 8, other),
-      Error);
-}
-
-TEST(CodegenCertified, InexactCertificateRejectedForNarrow) {
-  const sdf::Graph g = models::paper_example();
-  analysis::BoundsCertificate cert = analysis::derive_bounds(g);
-  cert.fits_i64 = false;
-  cert.overflow_detail = "synthetic";
-  // The checked generator still works (its guards carry the soundness)...
-  EXPECT_NO_THROW(
-      (void)generate_checked_explorer_source(g, *g.find_actor("c"), cert));
-  // ...but the narrow generator must refuse: elided checks need exactness.
-  EXPECT_THROW(
-      (void)generate_narrow_explorer_source(g, *g.find_actor("c"), 8, cert),
-      Error);
-
-  analysis::BoundsCertificate wide = analysis::derive_bounds(g);
-  wide.magnitude_bound = i64{1} << 40;  // beyond the narrow kernel limit
-  EXPECT_THROW(
-      (void)generate_narrow_explorer_source(g, *g.find_actor("c"), 8, wide),
       Error);
 }
 
@@ -245,167 +139,6 @@ TEST_F(CodegenCompile, GeneratedDseReproducesFig5Staircase) {
   EXPECT_EQ(points[1], (std::pair<long long, std::string>{8, "1/6"}));
   EXPECT_EQ(points[2], (std::pair<long long, std::string>{9, "1/5"}));
   EXPECT_EQ(points[3], (std::pair<long long, std::string>{10, "1/4"}));
-}
-
-// The differential contract of the vectorized generator: at every lane
-// width, the lane-parallel program's stdout is byte-identical to the
-// scalar generated explorer's — single-candidate throughputs and the
-// full --dse staircase alike.
-TEST_F(CodegenCompile, VectorizedExplorerMatchesScalarByteForByte) {
-  if (!have_compiler()) GTEST_SKIP() << "no system compiler";
-  const std::string dir = ::testing::TempDir();
-  const sdf::Graph g = models::paper_example();
-
-  const std::string scalar_src = dir + "/buffy_vec_ref.cpp";
-  const std::string scalar_bin = dir + "/buffy_vec_ref";
-  write_explorer_source(g, *g.find_actor("c"), scalar_src);
-  ASSERT_EQ(std::system(("c++ -std=c++17 -O1 -o " + scalar_bin + " " +
-                         scalar_src + " 2>&1")
-                            .c_str()),
-            0);
-
-  const std::vector<std::string> inputs{"4 2", "6 2", "7 3", "3 2", "9 4",
-                                        "",    "--dse"};
-  std::vector<std::string> expected;
-  expected.reserve(inputs.size());
-  for (const std::string& in : inputs) {
-    expected.push_back(run(scalar_bin, in));
-  }
-  ASSERT_EQ(expected.back().substr(0, 6), "pareto");
-
-  for (const std::size_t lanes : {1u, 3u, 8u}) {
-    const std::string tag = std::to_string(lanes);
-    const std::string src = dir + "/buffy_vec_" + tag + ".cpp";
-    const std::string bin = dir + "/buffy_vec_" + tag;
-    write_vectorized_explorer_source(g, *g.find_actor("c"), lanes, src);
-    ASSERT_EQ(std::system(
-                  ("c++ -std=c++17 -O1 -o " + bin + " " + src + " 2>&1")
-                      .c_str()),
-              0)
-        << "lanes=" << lanes;
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      EXPECT_EQ(run(bin, inputs[i]), expected[i])
-          << "lanes=" << lanes << " input='" << inputs[i] << "'";
-    }
-  }
-}
-
-// Same differential on a graph with initial tokens and a feedback loop
-// (the modem), where lane refill actually cycles: the --dse staircases
-// must be byte-identical too.
-TEST_F(CodegenCompile, VectorizedModemDseMatchesScalar) {
-  if (!have_compiler()) GTEST_SKIP() << "no system compiler";
-  const std::string dir = ::testing::TempDir();
-  const sdf::Graph g = models::modem();
-  const sdf::ActorId target = *g.find_actor("out");
-
-  const std::string scalar_src = dir + "/buffy_modem_ref.cpp";
-  const std::string scalar_bin = dir + "/buffy_modem_ref";
-  write_explorer_source(g, target, scalar_src);
-  ASSERT_EQ(std::system(("c++ -std=c++17 -O1 -o " + scalar_bin + " " +
-                         scalar_src + " 2>&1")
-                            .c_str()),
-            0);
-
-  const std::string vec_src = dir + "/buffy_modem_vec.cpp";
-  const std::string vec_bin = dir + "/buffy_modem_vec";
-  write_vectorized_explorer_source(g, target, 8, vec_src);
-  ASSERT_EQ(std::system(("c++ -std=c++17 -O1 -o " + vec_bin + " " + vec_src +
-                         " 2>&1")
-                            .c_str()),
-            0);
-
-  const std::string want = run(scalar_bin, "--dse");
-  ASSERT_EQ(want.substr(0, 6), "pareto");
-  EXPECT_EQ(run(vec_bin, "--dse"), want);
-  EXPECT_EQ(run(vec_bin, ""), run(scalar_bin, ""));
-}
-
-// The certified differential: the statically-narrow program (32-bit
-// lanes, zero runtime checks) must print byte-identical output to the
-// overflow-checked scalar reference on single runs and the budget-clamped
-// --dse staircase alike. A wrong certificate surfaces as either a diff
-// here or a guarded "overflow" abort in the checked program.
-TEST_F(CodegenCompile, NarrowExplorerMatchesCheckedScalarByteForByte) {
-  if (!have_compiler()) GTEST_SKIP() << "no system compiler";
-  const std::string dir = ::testing::TempDir();
-  const sdf::Graph g = models::paper_example();
-  const sdf::ActorId target = *g.find_actor("c");
-  const analysis::BoundsCertificate cert = analysis::derive_bounds(g);
-  ASSERT_TRUE(cert.fits_i64);
-
-  const std::string ref_src = dir + "/buffy_chk_ref.cpp";
-  const std::string ref_bin = dir + "/buffy_chk_ref";
-  write_checked_explorer_source(g, target, cert, ref_src);
-  ASSERT_EQ(std::system(("c++ -std=c++17 -O1 -o " + ref_bin + " " + ref_src +
-                         " 2>&1")
-                            .c_str()),
-            0);
-
-  const std::vector<std::string> inputs{"4 2", "6 2", "7 3", "3 2", "9 4",
-                                        "",    "--dse"};
-  std::vector<std::string> expected;
-  expected.reserve(inputs.size());
-  for (const std::string& in : inputs) {
-    expected.push_back(run(ref_bin, in));
-  }
-  ASSERT_EQ(expected.back().substr(0, 6), "pareto");
-
-  for (const std::size_t lanes : {1u, 4u, 8u}) {
-    const std::string tag = std::to_string(lanes);
-    const std::string src = dir + "/buffy_narrow_" + tag + ".cpp";
-    const std::string bin = dir + "/buffy_narrow_" + tag;
-    write_narrow_explorer_source(g, target, lanes, cert, src);
-    ASSERT_EQ(std::system(
-                  ("c++ -std=c++17 -O1 -o " + bin + " " + src + " 2>&1")
-                      .c_str()),
-              0)
-        << "lanes=" << lanes;
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      EXPECT_EQ(run(bin, inputs[i]), expected[i])
-          << "lanes=" << lanes << " input='" << inputs[i] << "'";
-    }
-  }
-}
-
-// Same certified differential on the modem (initial tokens + feedback):
-// the clamped staircases must agree, and both programs must reject a
-// capacity outside the certified budget the same way.
-TEST_F(CodegenCompile, NarrowModemDseMatchesCheckedScalar) {
-  if (!have_compiler()) GTEST_SKIP() << "no system compiler";
-  const std::string dir = ::testing::TempDir();
-  const sdf::Graph g = models::modem();
-  const sdf::ActorId target = *g.find_actor("out");
-  const analysis::BoundsCertificate cert = analysis::derive_bounds(g);
-  ASSERT_TRUE(cert.fits_i64);
-
-  const std::string ref_src = dir + "/buffy_chk_modem.cpp";
-  const std::string ref_bin = dir + "/buffy_chk_modem";
-  write_checked_explorer_source(g, target, cert, ref_src);
-  ASSERT_EQ(std::system(("c++ -std=c++17 -O1 -o " + ref_bin + " " + ref_src +
-                         " 2>&1")
-                            .c_str()),
-            0);
-
-  const std::string vec_src = dir + "/buffy_narrow_modem.cpp";
-  const std::string vec_bin = dir + "/buffy_narrow_modem";
-  write_narrow_explorer_source(g, target, 8, cert, vec_src);
-  ASSERT_EQ(std::system(("c++ -std=c++17 -O1 -o " + vec_bin + " " + vec_src +
-                         " 2>&1")
-                            .c_str()),
-            0);
-
-  const std::string want = run(ref_bin, "--dse");
-  ASSERT_EQ(want.substr(0, 6), "pareto");
-  EXPECT_EQ(run(vec_bin, "--dse"), want);
-  EXPECT_EQ(run(vec_bin, ""), run(ref_bin, ""));
-
-  // Outside the certified budget both programs refuse identically.
-  std::string oversized;
-  for (std::size_t c = 0; c < g.num_channels(); ++c) {
-    oversized += std::to_string(cert.storage_budget[c] + 1) + " ";
-  }
-  EXPECT_EQ(run(ref_bin, oversized), run(vec_bin, oversized));
 }
 
 }  // namespace
